@@ -26,7 +26,7 @@ import importlib
 import json
 import time
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from tracer import SpanRecorder
 
@@ -163,8 +163,11 @@ class SimRecord:
 class Probe:
     """Per-simulation chunked timing and bookkeeping, optionally traced."""
 
-    def __init__(self, recorder: Optional[SpanRecorder] = None):
+    def __init__(self, recorder: Optional[SpanRecorder] = None,
+                 clock: Callable[[], float] = time.perf_counter):
         self.recorder = recorder
+        #: Reads host time for the chunks (CPU time in the untraced run).
+        self.clock = clock
         self.sims: List[SimRecord] = []
         #: Entry points that could not be found (their metrics read 0).
         self.missing: List[str] = []
@@ -247,7 +250,7 @@ class Probe:
                 self._wrap_context_classes(ctx)
             run = self.recorder.wrap(run, "sim:run")
             self._trace_callbacks(sim)
-        clock = time.perf_counter
+        clock = self.clock
 
         def chunked_run(until=None, max_events=None):
             start = clock()

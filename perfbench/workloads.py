@@ -2,10 +2,10 @@
 
 Each workload function runs once in a fresh worker process and returns a
 :class:`Outcome`: the host times the worker needs for its end-to-end
-metrics, the correctness checks it made, and what it knows about the
-program's own results.  Every input comes from the workload seed through
-:func:`derive`, and every horizon is simulated time, so two commits
-simulate the same span.
+metrics (read from the clock the worker passes in), the correctness
+checks it made, and what it knows about the program's own results.
+Every input comes from the workload seed through :func:`derive`, and
+every horizon is simulated time, so two commits simulate the same span.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class Outcome:
     """What one workload run measured and checked."""
 
     def __init__(self) -> None:
-        self.result_at: Optional[float] = None  # host clock with the result in hand
+        self.result_at: Optional[float] = None  # the clock with the result in hand
         self.sim_seconds = 0.0
         #: The program's own telemetry counters (traced run only).
         self.counters: Dict[str, float] = {}
@@ -110,8 +110,9 @@ def _counters(registry) -> Dict[str, float]:
     return dict(registry.snapshot(spans=False).get("counters", {})) if registry else {}
 
 
-def _deployments(out: Outcome, seed: int, span: Callable, telemetry: bool, count: int,
-                 n_zigbee: int, n_wifi: int, horizon: float, walkers: bool) -> None:
+def _deployments(out: Outcome, seed: int, span: Callable, telemetry: bool,
+                 clock: Callable[[], float], count: int, n_zigbee: int, n_wifi: int,
+                 horizon: float, walkers: bool) -> None:
     """Compile and run ``count`` grid deployments, one after another.
 
     Each deployment draws its own simulation (and walker) seeds from the
@@ -126,15 +127,15 @@ def _deployments(out: Outcome, seed: int, span: Callable, telemetry: bool, count
 
     with _telemetry_scope(telemetry) as registry:
         for k in range(count):
-            start = time.perf_counter()
+            start = clock()
             compiled = span(build, "scenarios:compile")(derive(seed, f"sim/{k}"))
             out.layer["scenarios.compile_s"] = (
-                out.layer.get("scenarios.compile_s", 0.0) + time.perf_counter() - start
+                out.layer.get("scenarios.compile_s", 0.0) + clock() - start
             )
             moving = (span(_attach_walkers, "mobility:attach")(compiled, derive(seed, f"walk/{k}"))
                       if walkers else [])
             result = compiled.run(until=horizon, max_events=NO_EVENT_CAP)
-            out.result_at = time.perf_counter()
+            out.result_at = clock()
             out.sim_seconds += compiled.sim.now
             _scenario_checks(out, result, compiled.ctx.medium.radios, horizon)
             out.check("result counts the events the simulator fired",
@@ -150,17 +151,19 @@ def _deployments(out: Outcome, seed: int, span: Callable, telemetry: bool, count
     out.counters = _counters(registry)
 
 
-def dense_grid(seed: int, span: Callable, workdir: Path, telemetry: bool) -> Outcome:
+def dense_grid(seed: int, span: Callable, workdir: Path, telemetry: bool,
+               clock: Callable[[], float]) -> Outcome:
     out = Outcome()
-    _deployments(out, seed, span, telemetry, DENSE_DEPLOYMENTS, DENSE_ZIGBEE, DENSE_WIFI,
-                 DENSE_HORIZON_S, walkers=False)
+    _deployments(out, seed, span, telemetry, clock, DENSE_DEPLOYMENTS, DENSE_ZIGBEE,
+                 DENSE_WIFI, DENSE_HORIZON_S, walkers=False)
     return out
 
 
-def mobility_churn(seed: int, span: Callable, workdir: Path, telemetry: bool) -> Outcome:
+def mobility_churn(seed: int, span: Callable, workdir: Path, telemetry: bool,
+                   clock: Callable[[], float]) -> Outcome:
     out = Outcome()
-    _deployments(out, seed, span, telemetry, CHURN_DEPLOYMENTS, CHURN_ZIGBEE, CHURN_WIFI,
-                 CHURN_HORIZON_S, walkers=True)
+    _deployments(out, seed, span, telemetry, clock, CHURN_DEPLOYMENTS, CHURN_ZIGBEE,
+                 CHURN_WIFI, CHURN_HORIZON_S, walkers=True)
     return out
 
 
@@ -195,7 +198,8 @@ def _pooled_mean_delay(records, scheme: str, location: str) -> float:
     return statistics.fmean(delays) if delays else float("inf")
 
 
-def paper_sweep(seed: int, span: Callable, workdir: Path, telemetry: bool) -> Outcome:
+def paper_sweep(seed: int, span: Callable, workdir: Path, telemetry: bool,
+                clock: Callable[[], float]) -> Outcome:
     import repro.api as api
 
     out = Outcome()
@@ -211,9 +215,9 @@ def paper_sweep(seed: int, span: Callable, workdir: Path, telemetry: bool) -> Ou
 
     try:
         cold = span(sweep, "experiments:sweep_cold")()
-        out.result_at = time.perf_counter()
+        out.result_at = clock()
         warm = span(sweep, "experiments:sweep_warm")()
-        warm_s = time.perf_counter() - out.result_at
+        warm_s = clock() - out.result_at
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
