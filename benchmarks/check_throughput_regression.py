@@ -31,25 +31,6 @@ def load_ops(path: Path) -> dict:
     return {b["name"]: b["stats"]["ops"] for b in payload.get("benchmarks", [])}
 
 
-def kernel_speedups(fresh: dict) -> list:
-    """(vector row name, vector/legacy ops ratio) for same-run kernel pairs.
-
-    Pairs are any two rows whose names differ only by ``vector`` vs
-    ``legacy`` (e.g. ``test_scale_ceiling_kernel[vector]``), so both sides
-    were measured in the *same* benchmark session — the like-for-like
-    comparison the vectorized-kernel speedup target is defined over.
-    """
-    pairs = []
-    for name in sorted(fresh):
-        if "vector" not in name:
-            continue
-        legacy_name = name.replace("vector", "legacy")
-        legacy_ops = fresh.get(legacy_name)
-        if legacy_ops:
-            pairs.append((name, fresh[name] / legacy_ops))
-    return pairs
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fresh", type=Path, help="newly produced benchmark JSON")
@@ -88,19 +69,6 @@ def main(argv=None) -> int:
         print(f"  {name}: {old:.2f} -> {new:.2f} ops/s ({change:+.1%}){marker}")
     for name in sorted(set(fresh) - set(baseline)):
         print(f"  {name}: new benchmark ({fresh[name]:.2f} ops/s, no baseline)")
-
-    pairs = kernel_speedups(fresh)
-    if pairs:
-        print("\nmedium-kernel speedups (vector vs legacy, same run):")
-        for name, speedup in pairs:
-            marker = ""
-            if "scale_ceiling_kernel" in name and speedup < 2.0:
-                marker = "  <-- WARNING: below the 2x dense-deployment target"
-                warned = True
-            elif "mobility_churn" in name and speedup < 1.5:
-                marker = "  <-- WARNING: below the 1.5x churn target"
-                warned = True
-            print(f"  {name}: {speedup:.2f}x{marker}")
 
     if warned:
         print(

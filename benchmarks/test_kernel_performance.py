@@ -7,49 +7,23 @@ paper scenario.  They guard against performance regressions that would make
 the figure sweeps impractical.
 """
 
-import time
-
-import pytest
-
 from repro.context import build_context
 from repro.devices import WifiDevice, ZigbeeDevice
 from repro.phy.medium import Technology
 from repro.phy.propagation import FadingModel, PathLossModel, Position
-from repro.phy.rssi import RssiSampler, set_default_capture_mode
+from repro.phy.rssi import RssiSampler
 from repro.sim.engine import Simulator
 from repro.traffic import WifiPacketSource
 
 
 def test_engine_event_throughput(benchmark):
-    """Schedule + fire 10k no-op events on the default scheduler backend.
+    """Schedule + fire 10k no-op events on the calendar queue.
 
-    This is the headline engine number tracked in ``BENCH_kernels.json``;
-    the default backend is the calendar queue, so this row moved when the
-    default flipped (the heap oracle stays tracked by the pinned variant
-    below).
+    This is the headline engine number tracked in ``BENCH_kernels.json``.
     """
 
     def run():
         sim = Simulator()
-        for i in range(10_000):
-            sim.schedule(i * 1e-6, _noop)
-        sim.run()
-        return sim.events_processed
-
-    events = benchmark(run)
-    assert events == 10_000
-
-
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-def test_engine_event_throughput_backend(benchmark, backend):
-    """The same 10k-event workload pinned to each scheduler backend.
-
-    Keeping both rows in the benchmark JSON makes the backend gap itself a
-    tracked number, independent of which backend is the session default.
-    """
-
-    def run():
-        sim = Simulator(backend=backend)
         for i in range(10_000):
             sim.schedule(i * 1e-6, _noop)
         sim.run()
@@ -91,15 +65,13 @@ def test_medium_transmit_cost(benchmark):
     benchmark(run)
 
 
-@pytest.mark.parametrize("kernel", ["legacy", "vector"])
-def test_medium_broadcast_cost(benchmark, emit, kernel):
-    """500 broadcasts across a 150-radio medium, per kernel.
+def test_medium_broadcast_cost(benchmark, emit):
+    """500 broadcasts across a 150-radio medium.
 
     The purest view of the medium hot path: one transmitter, everyone else
-    listening, no MAC/traffic noise.  Fading is enabled so the vector kernel
-    pays its per-frame draw machinery too, not just the link matrix.  The
-    two rows in ``BENCH_kernels.json`` track the per-broadcast gap directly
-    (the scenario-level gap lives in ``test_scale_ceiling.py``).
+    listening, no MAC/traffic noise.  Fading is enabled so the broadcast
+    pays its per-frame draw machinery too, not just the link matrix (the
+    scenario-level view lives in ``test_scale_ceiling.py``).
     """
     N_RADIOS = 150
     N_BROADCASTS = 500
@@ -110,7 +82,6 @@ def test_medium_broadcast_cost(benchmark, emit, kernel):
             path_loss=PathLossModel(),
             fading=FadingModel(shadowing_sigma_db=2.0, fading_sigma_db=2.5),
             trace_kinds=set(),
-            medium_kernel=kernel,
         )
         radios = []
         for i in range(N_RADIOS):
@@ -130,8 +101,8 @@ def test_medium_broadcast_cost(benchmark, emit, kernel):
     benchmark(run)
     wall = benchmark.stats.stats.mean
     emit(
-        f"medium_broadcast_{kernel}",
-        f"medium broadcast ({kernel}): {N_BROADCASTS} broadcasts across "
+        "medium_broadcast",
+        f"medium broadcast: {N_BROADCASTS} broadcasts across "
         f"{N_RADIOS} radios in {wall * 1e3:.1f} ms "
         f"-> {wall / N_BROADCASTS * 1e6:.1f} us/broadcast",
     )
@@ -168,7 +139,7 @@ def test_scenario_realtime_factor(benchmark, emit):
     assert factor > 1.0  # the simulator must outrun the channel it models
 
 
-def _rssi_capture_campaign(mode: str, n_captures: int) -> int:
+def _rssi_capture_campaign(n_captures: int) -> int:
     """Back-to-back 5 ms @ 40 kHz captures on a quiet medium (pure sampler cost)."""
     ctx = build_context(
         seed=2,
@@ -177,7 +148,7 @@ def _rssi_capture_campaign(mode: str, n_captures: int) -> int:
         trace_kinds=set(),
     )
     device = ZigbeeDevice(ctx, "Z", Position(0.0, 0.0))
-    sampler = RssiSampler(device.radio, ctx.sim, ctx.streams, mode=mode)
+    sampler = RssiSampler(device.radio, ctx.sim, ctx.streams)
     captured = []
 
     def chain(i: int = 0) -> None:
@@ -193,50 +164,28 @@ def _rssi_capture_campaign(mode: str, n_captures: int) -> int:
 
 
 def test_rssi_capture_cost(benchmark, emit):
-    """Segment-based capture vs the legacy per-sample path (ZiSense workload).
+    """25 back-to-back ZiSense captures (5 ms @ 40 kHz) on a quiet medium.
 
-    The segment path schedules one completion event per capture and
-    synthesizes the trace vectorized, so its cost is independent of the
-    sample rate; the legacy path pays one simulator event per sample.
+    A capture schedules one completion event and synthesizes the trace
+    vectorized, so its cost is independent of the sample rate.
     """
     N_CAPTURES = 25
 
-    samples = benchmark(_rssi_capture_campaign, "segment", N_CAPTURES)
+    samples = benchmark(_rssi_capture_campaign, N_CAPTURES)
     assert samples == N_CAPTURES * 200
-
-    legacy = min(
-        _timed(_rssi_capture_campaign, "per_sample", N_CAPTURES) for _ in range(3)
-    )
-    factor = legacy / benchmark.stats.stats.mean
     emit(
         "rssi_capture_cost",
-        f"rssi capture speedup: {factor:.1f}x "
-        f"(segment {benchmark.stats.stats.mean * 1e3:.2f} ms, "
-        f"per-sample {legacy * 1e3:.2f} ms for {N_CAPTURES} captures)",
+        f"rssi capture: {benchmark.stats.stats.mean * 1e3:.2f} ms for "
+        f"{N_CAPTURES} captures of 5 ms @ 40 kHz",
     )
-    assert factor >= 5.0
-
-
-def test_rssi_capture_cost_legacy(benchmark):
-    """Reference cost of the per-sample path (baseline row in BENCH_kernels.json)."""
-    samples = benchmark(_rssi_capture_campaign, "per_sample", 25)
-    assert samples == 25 * 200
-
-
-def _timed(fn, *args):
-    start = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - start
 
 
 def test_rssi_scenario_realtime_factor(benchmark, emit):
-    """Full CTI-collection scenario: simulated seconds per wall second.
+    """Full CTI-collection scenario: the Sec. IV trace-collection campaign.
 
     Unlike :func:`test_scenario_realtime_factor` (which never touches the
-    RSSI register), this runs the Sec. IV trace-collection campaign — Wi-Fi
-    traffic plus a ZigBee collector sampling 5 ms @ 40 kHz per trace — once
-    with the segment capture path and once with the legacy path, and asserts
-    the end-to-end improvement the fast path must deliver.
+    RSSI register), this runs Wi-Fi traffic plus a ZigBee collector
+    sampling 5 ms @ 40 kHz per trace.
     """
     from repro.experiments.cti_dataset import collect_traces
 
@@ -248,24 +197,8 @@ def test_rssi_scenario_realtime_factor(benchmark, emit):
 
     n = benchmark(campaign)
     assert n == N_TRACES
-
-    previous = set_default_capture_mode("per_sample")
-    try:
-        legacy = min(_timed(campaign) for _ in range(3))
-    finally:
-        set_default_capture_mode(previous)
-    # Min-to-min: the legacy side is already a best-of-3, so comparing it
-    # against the segment *mean* makes the ratio collapse under machine
-    # noise (long benchmark sessions inflate the mean with outlier rounds).
-    factor = legacy / benchmark.stats.stats.min
     emit(
         "rssi_scenario_realtime_factor",
-        f"cti campaign speedup: {factor:.2f}x "
-        f"(segment {benchmark.stats.stats.min * 1e3:.1f} ms, "
-        f"per-sample {legacy * 1e3:.1f} ms for {N_TRACES} traces)",
+        f"cti campaign: {benchmark.stats.stats.min * 1e3:.1f} ms for "
+        f"{N_TRACES} traces (best round)",
     )
-    # The bound was 1.3 under the legacy medium; the vector kernel serves
-    # per-sample energy queries from its interference accumulators, which
-    # narrowed the end-to-end gap to ~1.2-1.4x (the capture path in
-    # isolation is still >=5x — see test_rssi_capture_cost).
-    assert factor >= 1.1

@@ -65,7 +65,6 @@ def _make_engine(args: argparse.Namespace, progress=None) -> SweepEngine:
         progress=progress,
         telemetry=bool(getattr(args, "metrics_out", None)),
         quiet=getattr(args, "quiet", False),
-        backend=getattr(args, "backend", None),
     )
 
 
@@ -915,7 +914,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         cache=not args.no_cache,
         quiet=args.quiet,
-        backend=args.backend,
     )
 
     if args.action == "status":
@@ -1104,7 +1102,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         cache_dir=args.cache_dir,
-        backend=args.backend,
         snapshot_interval=args.snapshot_interval,
         drain_grace=args.drain_grace,
     )
@@ -1166,11 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="disable the on-disk trial cache")
     exec_flags.add_argument("--quiet", action="store_true",
                             help="suppress progress output")
-    exec_flags.add_argument("--backend", choices=("heap", "calendar"),
-                            default=None,
-                            help="scheduler backend for every trial, "
-                                 "including pooled workers (default: the "
-                                 "process default; recorded in the manifest)")
 
     telemetry_flags = argparse.ArgumentParser(add_help=False)
     telemetry_flags.add_argument("--metrics-out", metavar="PATH", default=None,
@@ -1391,8 +1383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="sweep cache directory (default: "
                         "$BICORD_SWEEP_CACHE or ~/.cache/bicord/sweeps)")
-    p.add_argument("--backend", choices=("heap", "calendar"), default=None,
-                   help="scheduler backend shipped to worker trials")
     p.add_argument("--snapshot-interval", type=float, default=0.5,
                    help="seconds between telemetry frames on watch streams")
     p.add_argument("--drain-grace", type=float, default=30.0,

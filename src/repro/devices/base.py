@@ -128,7 +128,7 @@ class Radio:
 
         Assigning a different :class:`Band` notifies the medium (see
         :meth:`Medium.on_radio_retuned <repro.phy.medium.Medium.on_radio_retuned>`)
-        so kernels that precompute per-band tables can refresh them; prefer
+        so its precomputed per-band tables are refreshed; prefer
         the explicit :meth:`retune` in new code.
         """
         return self._band
@@ -152,8 +152,8 @@ class Radio:
         """The attached MAC layer.
 
         Assigning notifies the medium (:meth:`Medium.on_radio_mac_changed
-        <repro.phy.medium.Medium.on_radio_mac_changed>`): kernels that skip
-        no-op medium-event notifications re-read the MAC's
+        <repro.phy.medium.Medium.on_radio_mac_changed>`), which skips no-op
+        medium-event notifications and so re-reads the MAC's
         ``medium_event_sensitive`` flag on every assignment.
         """
         return self._mac

@@ -367,7 +367,6 @@ class CampaignRunner:
         calibration: Optional[Calibration] = None,
         telemetry: bool = True,
         quiet: bool = False,
-        backend: Optional[str] = None,
     ):
         self.directory = Path(directory)
         self.jobs = int(jobs)
@@ -379,9 +378,6 @@ class CampaignRunner:
         self.calibration = calibration
         self.telemetry = bool(telemetry)
         self.quiet = bool(quiet)
-        #: Scheduler backend shipped to every worker trial (None = the
-        #: process default at execution time); recorded in the manifest.
-        self.backend = backend
 
     # -- paths ---------------------------------------------------------
     @property
@@ -538,7 +534,6 @@ class CampaignRunner:
             telemetry=self.telemetry,
             progress=on_trial,
             quiet=self.quiet,
-            backend=self.backend,
         )
         if not self.quiet:
             _LOG.info(
@@ -677,7 +672,6 @@ class CampaignRunner:
                 metrics=headline,
                 extra={"campaign": spec.name, "shard": shard,
                        "trials": len(lines)},
-                backend=self.backend,
             )
             shard_manifests.append(manifest.to_dict())
         if run.telemetry is not None:

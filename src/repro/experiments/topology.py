@@ -87,9 +87,7 @@ class Calibration:
             zigbee_width_db=self.csi_zigbee_width_db,
         )
 
-    def context(
-        self, seed: int, trace_kinds=frozenset(), faults=None, medium_kernel=None
-    ) -> SimContext:
+    def context(self, seed: int, trace_kinds=frozenset(), faults=None) -> SimContext:
         return build_context(
             seed=seed,
             path_loss=PathLossModel(pl0_db=self.pl0_db, exponent=self.path_loss_exponent),
@@ -99,7 +97,6 @@ class Calibration:
             ),
             trace_kinds=set(trace_kinds) if trace_kinds is not None else None,
             faults=faults,
-            medium_kernel=medium_kernel,
         )
 
 

@@ -40,8 +40,7 @@ class APSelectionPolicy:
     ``select(current, readings)`` returns the name of the AP the client
     should be associated with; returning ``current`` means stay.  Policies
     must be pure (no side effects, no randomness): the same readings must
-    always produce the same decision, so runs stay reproducible and both
-    medium kernels see identical handoff sequences.
+    always produce the same decision, so runs stay reproducible.
     """
 
     name = "base"

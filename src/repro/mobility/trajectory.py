@@ -14,8 +14,8 @@ models ship:
 :class:`TrajectoryProcess` samples a trajectory at a fixed tick and applies
 the positions through :meth:`repro.phy.medium.Medium.move_many`, so each
 tick costs one channel-gain invalidation no matter how many radios ride
-the trajectory.  Both medium kernels already key their link state on the
-channel's position epoch, which is exactly what the move advances.
+the trajectory.  The medium keys its link rows on the channel's position
+epoch, which is exactly what the move advances.
 """
 
 from __future__ import annotations

@@ -4,31 +4,21 @@ ZiSense-style CTI detection reads the radio's RSSI register at high frequency
 (the paper samples at 40 kHz for 5 ms) and classifies the interferer from
 time-domain features of the trace.
 
-Two capture implementations produce bitwise-identical traces:
+The in-band energy at a radio is piecewise-constant between transmission
+start/end events, so a capture does not sample the medium per sample.  The
+sampler registers as a :meth:`~repro.phy.medium.Medium.add_energy_observer`,
+records one (time, energy) breakpoint per medium state change, and
+synthesizes the whole trace at the end of the window with one vectorized
+noise draw and one vectorized quantization.  A capture costs **one**
+simulator event plus one energy query per medium transition.
 
-* **segment** (default) — the in-band energy at a radio is piecewise-constant
-  between transmission start/end events, so the sampler registers as a
-  :meth:`~repro.phy.medium.Medium.add_energy_observer`, records one
-  (time, energy) breakpoint per medium state change, and synthesizes the
-  whole trace at the end of the window with one vectorized noise draw and one
-  vectorized quantization.  A capture costs **one** simulator event plus one
-  energy query per medium transition, instead of one event and one
-  full-medium query per sample.
-* **per_sample** (legacy) — one simulator event per sample, each reading the
-  energy and drawing measurement noise scalar-by-scalar.  Kept behind the
-  ``mode`` flag as the reference implementation for equivalence regression
-  tests.
-
-Equivalence notes: sample instants are the *accumulated* floating-point sums
-the per-sample path produces (``t += period`` per event, not
-``start + k*period``); a vectorized ``Generator.normal(0, s, n)`` draw
+What a capture produces is that of a register read once per sample: sample
+instants are the *accumulated* floating-point sums ``t += period`` (not
+``start + k*period``); the vectorized ``Generator.normal(0, s, n)`` draw
 consumes the PCG64 stream exactly like ``n`` scalar draws; and ``np.rint``
-matches Python's banker's rounding.  The one deliberate divergence is the
-measure-zero tie case of a sample instant coinciding *exactly* (as a float)
-with a medium transition: the segment path reads the post-transition energy,
-while the legacy path's reading depends on event-queue insertion order.
-Calling :meth:`RssiSampler.read_now` mid-capture would also interleave extra
-draws into the noise stream under the legacy path only; no caller does.
+matches Python's banker's rounding.  A sample instant that coincides
+*exactly* (as a float) with a medium transition reads the post-transition
+energy.  ``tests/golden.json`` pins the captured traces.
 """
 
 from __future__ import annotations
@@ -44,24 +34,6 @@ from ..sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # imported lazily to avoid package-init cycles
     from ..devices.base import Radio
-
-#: Valid values of :class:`RssiSampler`'s ``mode``.
-CAPTURE_MODES = ("segment", "per_sample")
-
-#: Capture implementation used by samplers constructed without an explicit
-#: ``mode``.  Flip to ``"per_sample"`` (e.g. via :func:`set_default_capture_mode`)
-#: to run whole experiments on the legacy path.
-DEFAULT_CAPTURE_MODE = "segment"
-
-
-def set_default_capture_mode(mode: str) -> str:
-    """Set :data:`DEFAULT_CAPTURE_MODE`; returns the previous value."""
-    global DEFAULT_CAPTURE_MODE
-    if mode not in CAPTURE_MODES:
-        raise ValueError(f"unknown capture mode {mode!r}; expected one of {CAPTURE_MODES}")
-    previous = DEFAULT_CAPTURE_MODE
-    DEFAULT_CAPTURE_MODE = mode
-    return previous
 
 
 @dataclass
@@ -90,16 +62,12 @@ class RssiSampler:
         streams: RandomStreams,
         measurement_noise_db: float = 1.0,
         quantize: bool = True,
-        mode: Optional[str] = None,
         telemetry: Optional[_telemetry.MetricsRegistry] = None,
     ):
-        if mode is not None and mode not in CAPTURE_MODES:
-            raise ValueError(f"unknown capture mode {mode!r}; expected one of {CAPTURE_MODES}")
         self.radio = radio
         self.sim = sim
         self.measurement_noise_db = measurement_noise_db
         self.quantize = quantize
-        self.mode = mode  # None -> DEFAULT_CAPTURE_MODE at capture time
         self._rng = streams.stream(f"rssi/{radio.name}")
         self._active = False
         registry = telemetry if telemetry is not None else _telemetry.NULL
@@ -132,46 +100,12 @@ class RssiSampler:
         self._active = True
         self._captures_counter.inc()
         self._samples_counter.inc(n_samples)
-        mode = self.mode if self.mode is not None else DEFAULT_CAPTURE_MODE
-        if mode == "per_sample":
-            self._capture_per_sample(n_samples, rate_hz, on_done)
-        else:
-            self._capture_segment(n_samples, rate_hz, on_done)
-
-    # ------------------------------------------------------------------
-    # Legacy reference path: one simulator event per sample
-    # ------------------------------------------------------------------
-    def _capture_per_sample(
-        self, n_samples: int, rate_hz: float, on_done: Callable[[RssiTrace], None]
-    ) -> None:
-        samples: List[float] = []
-        start_time = self.sim.now
-        period = 1.0 / rate_hz
-        self._events_counter.inc(n_samples)
-
-        def _sample() -> None:
-            samples.append(self._read())
-            if len(samples) >= n_samples:
-                self._active = False
-                trace = RssiTrace(start_time, rate_hz, np.asarray(samples))
-                on_done(trace)
-            else:
-                self.sim.schedule(period, _sample)
-
-        self.sim.schedule(0.0, _sample)
-
-    # ------------------------------------------------------------------
-    # Segment path: one completion event, vectorized synthesis
-    # ------------------------------------------------------------------
-    def _capture_segment(
-        self, n_samples: int, rate_hz: float, on_done: Callable[[RssiTrace], None]
-    ) -> None:
         medium = self.radio.medium
         start_time = self.sim.now
         period = 1.0 / rate_hz
         self._events_counter.inc()
-        # Exact per-sample instants of the legacy path: a running float sum,
-        # seeded with the start time (cumsum accumulates left to right).
+        # Per-sample instants as a running float sum seeded with the start
+        # time (cumsum accumulates left to right).
         increments = np.full(n_samples, period)
         increments[0] = start_time
         times = np.cumsum(increments)
@@ -222,19 +156,16 @@ class RssiSampler:
                 0.0, self.measurement_noise_db, len(times)
             )
         if self.quantize:
-            # Same banker's rounding as the legacy path's builtin round();
-            # the legacy trace holds Python ints, i.e. a default-int array.
+            # Banker's rounding, like the builtin round() of ``read_now``,
+            # into a default-int array.
             return np.rint(values).astype(np.asarray([0]).dtype)
         return values
 
-    def _read(self) -> float:
+    def read_now(self) -> float:
+        """One instantaneous RSSI reading (used for quick channel checks)."""
         value = self.radio.energy_dbm()
         if self.measurement_noise_db > 0.0:
             value += float(self._rng.normal(0.0, self.measurement_noise_db))
         if self.quantize:
             value = round(value)
         return value
-
-    def read_now(self) -> float:
-        """One instantaneous RSSI reading (used for quick channel checks)."""
-        return self._read()

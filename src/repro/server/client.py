@@ -2,7 +2,9 @@
 
 One request per connection keeps the client trivial — no multiplexing, no
 background threads; ``watch`` simply holds its connection open and yields
-telemetry frames as the server pushes them.  Discover a server either by
+telemetry frames as the server pushes them.  Every connection reads through
+one buffered line reader, so frames that share a ``recv`` (or straddle
+two) are all delivered.  Discover a server either by
 ``(host, port)`` or from the ``server.json`` the server writes into its
 state directory::
 
@@ -93,7 +95,9 @@ class Client:
             conn.sendall(
                 (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
             )
-            response = _read_line(conn)
+            response = _LineReader(conn).read()
+        if response is None:
+            raise ConnectionError("server closed the connection mid-response")
         if not response.get("ok", False):
             raise ServerError(response)
         return response
@@ -109,7 +113,6 @@ class Client:
         grid: Optional[Mapping[str, Sequence[Any]]] = None,
         seeds: Sequence[int] = (0,),
         priority: int = 1,
-        backend: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Submit a job; raises :class:`ServerError` on rejection.
 
@@ -125,7 +128,6 @@ class Client:
                 "seeds": [int(s) for s in seeds],
                 "priority": int(priority),
                 "client": self.client_name,
-                "backend": backend,
             },
         })
 
@@ -160,22 +162,16 @@ class Client:
                 (json.dumps({"op": "watch", "job_id": job_id}) + "\n")
                 .encode("utf-8")
             )
-            ack = _read_line(conn)
+            reader = _LineReader(conn)
+            ack = reader.read()
+            if ack is None:
+                raise ConnectionError("server closed the connection mid-response")
             if not ack.get("ok", False):
                 raise ServerError(ack)
-            buffer = b""
             while True:
-                newline = buffer.find(b"\n")
-                if newline < 0:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        return
-                    buffer += chunk
-                    continue
-                raw, buffer = buffer[:newline], buffer[newline + 1:]
-                if not raw.strip():
-                    continue
-                frame = json.loads(raw.decode("utf-8"))
+                frame = reader.read()
+                if frame is None:
+                    return
                 yield frame
                 if frame.get("type") == "end":
                     return
@@ -196,14 +192,31 @@ class Client:
             time.sleep(poll)
 
 
-def _read_line(conn: socket.socket) -> Dict[str, Any]:
-    """One response line from a blocking socket."""
-    buffer = b""
-    while b"\n" not in buffer:
-        if len(buffer) > MAX_LINE_BYTES:
-            raise ConnectionError("response line too long")
-        chunk = conn.recv(65536)
-        if not chunk:
-            raise ConnectionError("server closed the connection mid-response")
-        buffer += chunk
-    return json.loads(buffer.split(b"\n", 1)[0].decode("utf-8"))
+class _LineReader:
+    """Newline-delimited JSON frames from one blocking socket.
+
+    One ``recv`` may carry several frames (a finished job's watch ack,
+    snapshot and ``end`` frame arrive back to back) or a piece of one; the
+    buffer keeps every byte after the returned line for the next read.
+    """
+
+    def __init__(self, conn: socket.socket):
+        self._conn = conn
+        self._buffer = b""
+
+    def read(self) -> Optional[Dict[str, Any]]:
+        """The next non-blank frame, or None once the server closed."""
+        while True:
+            newline = self._buffer.find(b"\n")
+            if newline >= 0:
+                raw = self._buffer[:newline]
+                self._buffer = self._buffer[newline + 1:]
+                if raw.strip():
+                    return json.loads(raw.decode("utf-8"))
+                continue
+            if len(self._buffer) > MAX_LINE_BYTES:
+                raise ConnectionError("response line too long")
+            chunk = self._conn.recv(65536)
+            if not chunk:
+                return None
+            self._buffer += chunk

@@ -1,13 +1,6 @@
 """Discrete-event simulation kernel: engine, RNG streams, tracing, units."""
 
-from .engine import (
-    SCHEDULER_BACKENDS,
-    Event,
-    SimulationError,
-    Simulator,
-    resolve_backend,
-    set_default_backend,
-)
+from .engine import Event, SimulationError, Simulator
 from .process import Process
 from .rng import RandomStreams
 from .trace import TraceRecord, TraceRecorder
@@ -25,12 +18,9 @@ from .units import (
 )
 
 __all__ = [
-    "SCHEDULER_BACKENDS",
     "Event",
     "SimulationError",
     "Simulator",
-    "resolve_backend",
-    "set_default_backend",
     "Process",
     "RandomStreams",
     "TraceRecord",

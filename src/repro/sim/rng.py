@@ -28,7 +28,7 @@ def _stable_hash(name: str) -> int:
 # Batched stream seeding
 # ----------------------------------------------------------------------
 # ``SeedSequence`` construction dominates the cost of creating a stream
-# (~15 µs each), and the vectorized medium kernel creates O(radios) fading
+# (~15 µs each), and the medium's link rows create O(radios) fading
 # streams per new transmitter.  The mixing algorithm behind
 # ``SeedSequence.generate_state`` (O'Neill's seed_seq hash) is simple 32-bit
 # arithmetic, so we replicate it *vectorized across stream names* and hand the

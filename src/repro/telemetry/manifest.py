@@ -41,11 +41,6 @@ class RunManifest:
     #: the canonical name plus the content address of the resolved spec.
     scenario: str = ""
     scenario_fingerprint: str = ""
-    #: Scheduler backend the trials actually ran on ("heap"/"calendar").
-    #: Provenance only — backends are proven bitwise-identical, so this never
-    #: enters a cache key, but it pins what workers executed even when a
-    #: parent changed its in-process default.
-    backend: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         return to_dict(self)
@@ -75,7 +70,6 @@ def build_manifest(
     started_at: Optional[float] = None,
     scenario: str = "",
     scenario_fingerprint: str = "",
-    backend: Optional[str] = None,
 ) -> RunManifest:
     """Assemble a manifest from the objects a runner already has in hand.
 
@@ -86,11 +80,6 @@ def build_manifest(
     # Imported lazily: repro/__init__ -> context -> telemetry would otherwise
     # form a cycle before __version__ is bound.
     from .. import __version__ as code_version
-
-    if backend is None:
-        # Default to whatever scheduler this process would hand new
-        # Simulators — the same resolution the sweep engine ships to workers.
-        from ..sim.engine import DEFAULT_BACKEND as backend  # noqa: N811
 
     stamp = time.time() if started_at is None else started_at
     return RunManifest(
@@ -108,5 +97,4 @@ def build_manifest(
         extra=dict(extra or {}),
         scenario=scenario,
         scenario_fingerprint=scenario_fingerprint,
-        backend=str(backend),
     )

@@ -148,7 +148,7 @@ def _hand_built(builder: Callable, seed: int = 3) -> Callable:
     return run
 
 
-def _attach_radio(ctx, name, pos, band, tech, **kwargs) -> Radio:
+def attach_radio(ctx, name, pos, band, tech, **kwargs) -> Radio:
     radio = Radio(
         name=name, position=pos, band=band, technology=tech,
         sim=ctx.sim, streams=ctx.streams, trace=ctx.trace, **kwargs,
@@ -157,7 +157,7 @@ def _attach_radio(ctx, name, pos, band, tech, **kwargs) -> Radio:
     return radio
 
 
-def _zigbee_frame(src: str, dst: str, seq: int) -> Frame:
+def zigbee_frame(src: str, dst: str, seq: int) -> Frame:
     return Frame(
         FrameType.DATA, Technology.ZIGBEE, src, dst,
         payload_bytes=40, mpdu_bytes=51, seq=seq,
@@ -166,15 +166,15 @@ def _zigbee_frame(src: str, dst: str, seq: int) -> Frame:
 
 def _mid_run_mobility(ctx):
     """Moving a receiver, a transmitter and a bystander mid-run."""
-    a = _attach_radio(ctx, "a", Position(0, 0), zigbee_channel(24), Technology.ZIGBEE)
-    b = _attach_radio(ctx, "b", Position(8, 0), zigbee_channel(24), Technology.ZIGBEE)
-    c = _attach_radio(ctx, "c", Position(4, 3), zigbee_channel(24), Technology.ZIGBEE)
+    a = attach_radio(ctx, "a", Position(0, 0), zigbee_channel(24), Technology.ZIGBEE)
+    b = attach_radio(ctx, "b", Position(8, 0), zigbee_channel(24), Technology.ZIGBEE)
+    c = attach_radio(ctx, "c", Position(4, 3), zigbee_channel(24), Technology.ZIGBEE)
     powers = []
     seq = [0]
 
     def send():
         seq[0] += 1
-        a.transmit_frame(_zigbee_frame("a", "b", seq[0]), 0.0)
+        a.transmit_frame(zigbee_frame("a", "b", seq[0]), 0.0)
 
     for k in range(8):
         ctx.sim.schedule(5e-3 * k, send)
@@ -207,16 +207,16 @@ def _ble_retune(ctx):
 
 def _late_attach(ctx):
     """A radio attached while a transmission is on the air."""
-    a = _attach_radio(ctx, "a", Position(0, 0), zigbee_channel(24), Technology.ZIGBEE)
-    _attach_radio(ctx, "b", Position(6, 0), zigbee_channel(24), Technology.ZIGBEE)
+    a = attach_radio(ctx, "a", Position(0, 0), zigbee_channel(24), Technology.ZIGBEE)
+    attach_radio(ctx, "b", Position(6, 0), zigbee_channel(24), Technology.ZIGBEE)
     readings = []
     late = []
 
     def start_long():
-        a.transmit_frame(_zigbee_frame("a", "b", 1), 0.0)
+        a.transmit_frame(zigbee_frame("a", "b", 1), 0.0)
 
     def attach_late():
-        late.append(_attach_radio(ctx, "late", Position(3, 1),
+        late.append(attach_radio(ctx, "late", Position(3, 1),
                                   zigbee_channel(24), Technology.ZIGBEE))
         readings.append(late[0].energy_dbm())
 
@@ -351,9 +351,14 @@ def _golden() -> Dict[str, Any]:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
+def expected(name: str) -> Dict[str, Any]:
+    """The golden observation of case ``name``."""
+    return _golden()[name]
+
+
 def check(name: str) -> None:
     """Assert case ``name`` still produces its golden observation."""
-    assert observe(name) == canonical(_golden()[name]), f"{name} drifted from {GOLDEN_PATH.name}"
+    assert observe(name) == canonical(expected(name)), f"{name} drifted from {GOLDEN_PATH.name}"
 
 
 def write(path: Path = GOLDEN_PATH) -> int:
@@ -363,45 +368,6 @@ def write(path: Path = GOLDEN_PATH) -> int:
     return len(lines)
 
 
-#: The second implementation of each layer, as (scheduler backend, medium
-#: kernel, RSSI capture mode).  Every case must observe the same under each.
-ALTERNATIVES = {
-    "heap scheduler": ("heap", "vector", "segment"),
-    "legacy medium": ("calendar", "legacy", "segment"),
-    "per-sample RSSI": ("calendar", "vector", "per_sample"),
-}
-
-
-def cross_check(name: str) -> None:
-    """Assert that ``name`` observes the same under every alternative."""
-    from repro.phy.medium import set_default_medium_kernel
-    from repro.phy.rssi import set_default_capture_mode
-    from repro.sim.engine import set_default_backend
-
-    reference = json.loads(observe(name))
-    for label, (backend, kernel, capture) in ALTERNATIVES.items():
-        if capture == "per_sample" and not name.startswith("rssi/"):
-            continue  # no other case captures RSSI
-        previous = (set_default_backend(backend), set_default_medium_kernel(kernel),
-                    set_default_capture_mode(capture))
-        try:
-            other = json.loads(canonical(CASES[name]()))
-        finally:
-            set_default_backend(previous[0])
-            set_default_medium_kernel(previous[1])
-            set_default_capture_mode(previous[2])
-        if capture == "per_sample":
-            # The per-sample path fires one event per sample by design.
-            other["events_processed"] = reference["events_processed"]
-        assert canonical(other) == canonical(reference), f"{name}: {label} differs"
-
-
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    if "--cross-check" in args:
-        args.remove("--cross-check")
-        for case in CASES:
-            cross_check(case)
-        print(f"cross-checked {len(CASES)} cases against every alternative")
-    written = write(Path(args[0]) if args else GOLDEN_PATH)
-    print(f"wrote {written} golden cases")
+    path = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN_PATH
+    print(f"wrote {write(path)} golden cases to {path}")

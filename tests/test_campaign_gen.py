@@ -97,8 +97,8 @@ class TestCampaignGenCli:
         manifest = json.loads((directory / "manifest.json").read_text())
         assert manifest["name"] == "cli-placements"
         assert manifest["trials"] == 2
-        # The scheduler backend made it into provenance.
-        assert all(m["backend"] for m in manifest["shard_manifests"])
+        # Every shard carries its provenance.
+        assert all(m["code_version"] for m in manifest["shard_manifests"])
 
     def test_gen_requires_a_generator(self, tmp_path, capsys):
         code = main([

@@ -1,10 +1,11 @@
-"""Segment-based RSSI capture vs the legacy per-sample reference path.
+"""RSSI capture against pinned golden traces, and the CTI feature code.
 
-The segment path (default) must be **bitwise identical** to the per-sample
-path it replaced: same sample values, same dtype, same start times, and no
-side effects on the rest of the simulation.  These tests run the same busy
-scenario under both modes and compare traces element-for-element, across
-seeds, capture rates, and an active fault plan.
+The segment-based capture synthesizes a whole trace from the medium's
+energy breakpoints.  Its traces are checked element for element (values,
+dtype, start times) against ``tests/golden.json``, across seeds, capture
+rates, an active fault plan and unquantized capture, together with a
+fingerprint of the rest of the simulation, which capturing must not
+perturb.
 
 Also here: the vectorized CTI feature extraction against a straight-line
 reference implementation (property-based), and the propagation gain cache
@@ -20,123 +21,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.context import build_context
 from repro.core.cti import RssiFeatures, _runs, extract_features
-from repro.devices import WifiDevice, ZigbeeDevice
-from repro.faults import FaultPlan
-from repro.phy.propagation import FadingModel, PathLossModel, Position
-from repro.phy.rssi import (
-    CAPTURE_MODES,
-    DEFAULT_CAPTURE_MODE,
-    RssiSampler,
-    RssiTrace,
-    set_default_capture_mode,
-)
-from repro.traffic import WifiPacketSource
+from repro.devices import ZigbeeDevice
+from repro.phy.propagation import Position
+from repro.phy.rssi import RssiTrace
 
+from . import golden
 from .helpers import deterministic_context
 
 
 # ----------------------------------------------------------------------
-# Fast path == legacy path, bit for bit
+# Captured traces == the pinned golden traces, bit for bit
 # ----------------------------------------------------------------------
-def _capture_campaign(mode, seed, rate_hz, faults=None, n_captures=5, duration=4e-3):
-    """A busy office + a chained capture campaign; returns traces and a
-    fingerprint of the *rest* of the simulation (the capture path must not
-    perturb it)."""
-    ctx = build_context(
-        seed=seed,
-        path_loss=PathLossModel(),
-        fading=FadingModel(),
-        trace_kinds=set(),
-        faults=faults,
-    )
-    sender = WifiDevice(ctx, "W1", Position(2.0, 0.0), data_rate_mbps=1.0)
-    WifiDevice(ctx, "W2", Position(5.0, 0.0), data_rate_mbps=1.0)
-    WifiPacketSource(ctx, sender.mac, "W2", payload_bytes=100, interval=1.3e-3)
-    ZigbeeDevice(ctx, "ZB", Position(1.0, 2.0))
-    collector = ZigbeeDevice(ctx, "C", Position(0.0, 0.0))
-    sampler = RssiSampler(collector.radio, ctx.sim, ctx.streams, mode=mode)
-    traces = []
-
-    def chain(i=0):
-        if i < n_captures:
-            sampler.capture(
-                duration,
-                rate_hz,
-                lambda trace, i=i: (traces.append(trace), chain(i + 1)),
-            )
-
-    chain()
-    ctx.sim.run(until=0.1)
-    fingerprint = (
-        sender.radio.frames_sent,
-        sender.radio.frames_received,
-        sender.radio.frames_lost,
-        sender.mac.data_delivered,
-        collector.radio.frames_received,
-    )
-    return traces, fingerprint
-
-
-@pytest.mark.parametrize("seed", [0, 3, 11])
-@pytest.mark.parametrize("rate_hz", [40e3, 10e3])
+@pytest.mark.parametrize("seed", golden.RSSI_SEEDS)
+@pytest.mark.parametrize("rate_hz", golden.RSSI_RATES)
 def test_segment_capture_bitwise_equals_legacy(seed, rate_hz):
-    fast, fp_fast = _capture_campaign("segment", seed, rate_hz)
-    legacy, fp_legacy = _capture_campaign("per_sample", seed, rate_hz)
-    assert len(fast) == len(legacy) == 5
-    for a, b in zip(fast, legacy):
-        assert a.start_time == b.start_time
-        assert a.rate_hz == b.rate_hz
-        assert a.samples_dbm.dtype == b.samples_dbm.dtype
-        assert np.array_equal(a.samples_dbm, b.samples_dbm)
-    # The capture implementation must be invisible to everything else.
-    assert fp_fast == fp_legacy
+    name = golden.rssi_case(seed, rate_hz)
+    golden.check(name)
+    assert golden.expected(name)["summary"]["captures"] == 5
 
 
 def test_equivalence_holds_under_fault_plan():
-    plan = FaultPlan(control_drop_rate=0.3, csi_spurious_rate=0.05)
-    fast, _ = _capture_campaign("segment", 7, 40e3, faults=plan)
-    legacy, _ = _capture_campaign("per_sample", 7, 40e3, faults=plan)
-    for a, b in zip(fast, legacy):
-        assert np.array_equal(a.samples_dbm, b.samples_dbm)
+    golden.check("rssi/fault-plan")
 
 
 def test_equivalence_without_quantization():
     """Raw (float) traces must match exactly too, not just after rounding."""
-
-    def run(mode):
-        ctx = deterministic_context(seed=5, fading=FadingModel())
-        sender = WifiDevice(ctx, "W1", Position(2.0, 0.0), data_rate_mbps=1.0)
-        WifiDevice(ctx, "W2", Position(5.0, 0.0), data_rate_mbps=1.0)
-        WifiPacketSource(ctx, sender.mac, "W2", payload_bytes=100, interval=1e-3)
-        collector = ZigbeeDevice(ctx, "C", Position(0.0, 0.0))
-        sampler = RssiSampler(
-            collector.radio, ctx.sim, ctx.streams, quantize=False, mode=mode
-        )
-        out = []
-        sampler.capture(5e-3, 40e3, out.append)
-        ctx.sim.run(until=0.02)
-        return out[0]
-
-    fast, legacy = run("segment"), run("per_sample")
-    assert fast.samples_dbm.dtype == legacy.samples_dbm.dtype == np.float64
-    assert np.array_equal(fast.samples_dbm, legacy.samples_dbm)
-
-
-def test_default_capture_mode_flag():
-    assert DEFAULT_CAPTURE_MODE in CAPTURE_MODES
-    previous = set_default_capture_mode("per_sample")
-    try:
-        assert previous == "segment"
-        with pytest.raises(ValueError):
-            set_default_capture_mode("bogus")
-    finally:
-        set_default_capture_mode(previous)
-    ctx = deterministic_context()
-    dev = ZigbeeDevice(ctx, "Z", Position(0, 0))
-    with pytest.raises(ValueError):
-        RssiSampler(dev.radio, ctx.sim, ctx.streams, mode="bogus")
+    golden.check("rssi/unquantized")
+    assert golden.expected("rssi/unquantized")["summary"]["dtype"] == "float64"
 
 
 # ----------------------------------------------------------------------

@@ -1,32 +1,30 @@
-"""Calendar-queue scheduler vs the binary-heap oracle.
+"""The scheduler against pinned golden runs and a reference model.
 
-The calendar backend must be **bitwise identical** to the heap engine it
-accelerates: same firing order, same ``events_processed``, same trace
-digests, same metrics — across seeds, library scenarios, and fault plans
-(modeled on ``tests/test_rssi_equivalence.py``, which keeps the legacy RSSI
-path as oracle the same way).
+Two layers of evidence:
 
-Three layers of evidence:
-
-* full compiled scenarios (5 seeds x 3 scenarios x 2 fault plans) compared
-  on trace digest + event count + the whole summary dict;
-* a hypothesis property test driving random schedule/cancel/run
-  interleavings through both backends and comparing firing orders exactly;
-* targeted adversarial cases for the wheel (overflow jumps, zero-delay
-  chains, peek-during-callback).
+* full compiled scenarios (5 seeds x 3 scenarios x 2 fault plans) checked
+  against ``tests/golden.json`` on trace digest + event count + the whole
+  summary dict;
+* random schedule/cancel/run interleavings and targeted adversarial wheel
+  cases (overflow jumps, zero-delay chains, peek-during-callback) compared
+  firing order for firing order against :class:`ReferenceScheduler`, a
+  heap of ``(time, seq)`` entries written here, independent of the
+  calendar queue.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.scenario import ScenarioTrialConfig, run_scenario_trial
-from repro.sim.calendar import CalendarSimulator
-from repro.sim.engine import Simulator, set_default_backend
+from repro.sim.engine import Simulator
+
+from . import golden
 
 SEEDS = [0, 1, 2, 3, 4]
 SCENARIOS = [
@@ -37,27 +35,80 @@ SCENARIOS = [
 FAULT_PLANS = ["inert", "lossy-control"]
 
 
-def _run_with_backend(backend, scenario, params, fault_plan, seed):
-    previous = set_default_backend(backend)
-    try:
-        cfg = ScenarioTrialConfig(
-            scenario=scenario, params=params, duration=0.3, fault_plan=fault_plan
-        )
-        return run_scenario_trial(cfg, seed=seed)
-    finally:
-        set_default_backend(previous)
-
-
 @pytest.mark.parametrize("fault_plan", FAULT_PLANS)
 @pytest.mark.parametrize("scenario,params", SCENARIOS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scenario_bitwise_equivalence(scenario, params, fault_plan, seed):
-    heap = _run_with_backend("heap", scenario, params, fault_plan, seed)
-    cal = _run_with_backend("calendar", scenario, params, fault_plan, seed)
-    assert cal.trace_digest == heap.trace_digest
-    assert cal.events_processed == heap.events_processed
-    assert cal.summary() == heap.summary()
-    assert heap.events_processed > 0  # the comparison actually exercised a run
+    name = golden.scenario_case(scenario, params, fault_plan, seed)
+    golden.check(name)
+    assert golden.expected(name)["events_processed"] > 0
+
+
+# ----------------------------------------------------------------------
+# The reference model: one heap entry per event, (time, seq) order
+# ----------------------------------------------------------------------
+class _RefEvent:
+    def __init__(self, time, seq, callback, args, owner):
+        self.time, self.seq, self.callback, self.args = time, seq, callback, args
+        self.cancelled = self.fired = False
+        self._owner = owner
+
+    def cancel(self):
+        if not (self.cancelled or self.fired):
+            self.cancelled = True
+            self._owner.pending -= 1
+
+
+class ReferenceScheduler:
+    """The engine's ordering contract, spelled out with ``heapq``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self.pending = 0
+        self._queue = []
+        self._seq = itertools.count()
+
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def schedule_at(self, time, callback, *args):
+        event = _RefEvent(time, next(self._seq), callback, args, self)
+        heapq.heappush(self._queue, (time, event.seq, event))
+        self.pending += 1
+        return event
+
+    def _head(self):
+        while self._queue and self._queue[0][2].cancelled:
+            heapq.heappop(self._queue)
+        return self._queue[0][2] if self._queue else None
+
+    def _fire(self):
+        event = heapq.heappop(self._queue)[2]
+        self.now = event.time
+        event.fired = True
+        self.pending -= 1
+        self.events_processed += 1
+        event.callback(*event.args)
+
+    def peek(self):
+        head = self._head()
+        return head.time if head is not None else None
+
+    def step(self):
+        if self._head() is None:
+            return False
+        self._fire()
+        return True
+
+    def run(self, until=None):
+        while (head := self._head()) is not None and (until is None or head.time <= until):
+            self._fire()
+        if until is not None and self.now < until:
+            self.now = until
+
+    def pending_count(self):
+        return self.pending
 
 
 # ----------------------------------------------------------------------
@@ -81,14 +132,13 @@ _OPS = st.lists(
 )
 
 
-def _apply_ops(backend, ops, chain_seed):
-    """Drive one backend through an op script; return the observable record.
+def _apply_ops(sim, ops, chain_seed):
+    """Drive one scheduler through an op script; return the observable record.
 
     Callbacks themselves re-schedule and cancel pseudo-randomly (seeded per
     run), so dispatch-time mutation paths — insort into the live batch,
     compaction mid-batch — are exercised too.
     """
-    sim = Simulator(backend=backend)
     rng = random.Random(chain_seed)
     fired = []
     events = []
@@ -130,8 +180,8 @@ def _apply_ops(backend, ops, chain_seed):
 @given(ops=_OPS, chain_seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=120, deadline=None)
 def test_random_interleavings_fire_identically(ops, chain_seed):
-    assert _apply_ops("heap", ops, chain_seed) == _apply_ops(
-        "calendar", ops, chain_seed
+    assert _apply_ops(Simulator(), ops, chain_seed) == _apply_ops(
+        ReferenceScheduler(), ops, chain_seed
     )
 
 
@@ -139,11 +189,12 @@ def test_random_interleavings_fire_identically(ops, chain_seed):
 # Adversarial wheel cases
 # ----------------------------------------------------------------------
 def _both(fn):
-    heap_fired, cal_fired = [], []
-    fn(Simulator(backend="heap"), heap_fired)
-    fn(CalendarSimulator(nbuckets=8, bucket_width=1e-4), cal_fired)
-    assert cal_fired == heap_fired
-    return heap_fired
+    """Drive a narrow calendar wheel and the reference model alike."""
+    ref_fired, cal_fired = [], []
+    fn(ReferenceScheduler(), ref_fired)
+    fn(Simulator(nbuckets=8, bucket_width=1e-4), cal_fired)
+    assert cal_fired == ref_fired
+    return ref_fired
 
 
 def test_overflow_jump_cannot_skip_events():

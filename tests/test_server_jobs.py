@@ -52,7 +52,7 @@ class TestJobModel:
         spec = JobSpec(
             experiment="scenario", params={"scenario": "office"},
             grid={"duration": (0.1, 0.2)}, seeds=(3, 4),
-            priority=0, client="alice", backend="heap",
+            priority=0, client="alice",
         )
         assert JobSpec.from_wire(spec.to_wire()) == spec
         record = _record()
@@ -60,6 +60,14 @@ class TestJobModel:
         clone = JobRecord.from_wire(record.to_wire())
         assert clone.state == JobState.RUNNING
         assert clone.spec == record.spec
+
+    def test_from_wire_ignores_a_journaled_backend_key(self):
+        # Journals written while the server still shipped a scheduler
+        # choice carry a "backend" key; it must not change the job.
+        spec = JobSpec(params={"scenario": "office"}, seeds=(0, 1), client="bob")
+        old = dict(spec.to_wire(), backend="heap")
+        assert JobSpec.from_wire(old) == spec
+        assert JobSpec.from_wire(old).fingerprint() == spec.fingerprint()
 
     def test_legal_transitions(self):
         record = _record()

@@ -1,18 +1,24 @@
 """Tests for the discrete-event engine.
 
-Every behavioral test runs against both scheduler backends (the heap oracle
-and the calendar queue) via the parametrized ``sim`` fixture — the two must
-be indistinguishable through the public API.
+Every behavioral test runs twice via the parametrized ``sim`` fixture: on
+the calendar wheel at its default geometry, and on a narrow 8-bucket wheel
+whose 0.8 ms span pushes nearly every event through the overflow list.  The
+wheel geometry must be invisible through the public API.
 """
 
 import pytest
 
-from repro.sim.engine import SCHEDULER_BACKENDS, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
+
+WHEELS = {
+    "calendar": {},
+    "narrow-wheel": {"nbuckets": 8, "bucket_width": 1e-4},
+}
 
 
-@pytest.fixture(params=SCHEDULER_BACKENDS)
+@pytest.fixture(params=list(WHEELS))
 def sim(request):
-    return Simulator(backend=request.param)
+    return Simulator(**WHEELS[request.param])
 
 
 def test_events_fire_in_time_order(sim):
@@ -227,53 +233,16 @@ def test_reentrant_run_rejected(sim):
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# Wheel geometry
 # ----------------------------------------------------------------------
 
-def test_backend_selection_and_names():
-    from repro.sim.calendar import CalendarSimulator
-
-    assert Simulator().backend_name == "calendar"  # default since the flip
-    assert Simulator(backend="heap").backend_name == "heap"
-    calendar = Simulator(backend="calendar")
-    assert calendar.backend_name == "calendar"
-    assert isinstance(calendar, Simulator)
-    assert isinstance(calendar, CalendarSimulator)
-    with pytest.raises(ValueError):
-        Simulator(backend="fibonacci")
-
-
-def test_set_default_backend_round_trip():
-    from repro.sim.engine import set_default_backend
-
-    previous = set_default_backend("heap")
-    try:
-        assert previous == "calendar"
-        assert Simulator().backend_name == "heap"
-    finally:
-        set_default_backend(previous)
-    assert Simulator().backend_name == "calendar"
-    with pytest.raises(ValueError):
-        set_default_backend("fibonacci")
-
-
-def test_build_context_backend_parameter():
-    from repro.context import build_context
-
-    assert build_context(seed=0, trace_kinds=set()).sim.backend_name == "calendar"
-    ctx = build_context(seed=0, trace_kinds=set(), backend="heap")
-    assert ctx.sim.backend_name == "heap"
-
-
 def test_calendar_geometry_validation():
-    from repro.sim.calendar import CalendarSimulator
-
     with pytest.raises(ValueError):
-        CalendarSimulator(nbuckets=100)  # not a power of two
+        Simulator(nbuckets=100)  # not a power of two
     with pytest.raises(ValueError):
-        CalendarSimulator(bucket_width=0.0)
+        Simulator(bucket_width=0.0)
     # Tiny wheels exercise the overflow/migration path but stay correct.
-    sim = CalendarSimulator(nbuckets=4, bucket_width=1e-3)
+    sim = Simulator(nbuckets=4, bucket_width=1e-3)
     order = []
     for i in (9, 2, 7, 0, 4):
         sim.schedule(i * 1e-3, order.append, i)
@@ -282,7 +251,7 @@ def test_calendar_geometry_validation():
 
 
 def test_calendar_rejects_non_finite_times():
-    sim = Simulator(backend="calendar")
+    sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule(float("inf"), lambda: None)
     with pytest.raises(SimulationError):
@@ -299,7 +268,7 @@ def test_queue_hwm_excludes_cancelled_entries(sim):
     assert sim.queue_hwm == 10
     for event in events[:6]:
         event.cancel()
-    # The heap still physically holds 10 entries, but pending fell to 4:
+    # The queue still physically holds 10 entries, but pending fell to 4:
     # new schedules must not raise the mark until depth really exceeds 10.
     for i in range(5):
         sim.schedule(20.0 + i, lambda: None)

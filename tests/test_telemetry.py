@@ -2,6 +2,7 @@
 
 import json
 import logging
+import sys
 
 import pytest
 
@@ -391,3 +392,27 @@ def test_log_configure_levels():
     text = stream.getvalue()
     assert "info-hidden" not in text and "warn-visible" in text
     configure_logging(force=True)  # restore defaults for other tests
+
+
+def test_log_follows_swapped_and_closed_stderr(monkeypatch):
+    import io
+
+    first = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", first)
+    configure_logging(force=True)
+    errors = []
+    (handler,) = logging.getLogger("repro").handlers
+    monkeypatch.setattr(handler, "handleError", errors.append)
+    logger = get_logger("probe")
+    logger.info("to-first")
+    assert "to-first" in first.getvalue()
+    # A test runner swaps stderr and closes the old one.
+    second = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", second)
+    first.close()
+    logger.info("to-second")
+    assert "to-second" in second.getvalue()
+    # A closed stderr drops the record instead of raising.
+    second.close()
+    logger.warning("dropped")
+    assert errors == []
