@@ -13,9 +13,11 @@ The cases are every library scenario x seeds 0-4 x the ``inert`` and
 ``lossy-control`` fault plans at 0.3 simulated seconds, two small procedural
 layouts, a roaming corridor driven fast enough to force a handoff, three
 adversarial medium cases (mid-run mobility, a BLE retune during a foreign
-transmission, a radio attached mid-transmission) and a set of RSSI capture
-campaigns.  Floats are stored with ``repr`` precision, so a check is
-bitwise.
+transmission, a radio attached mid-transmission), a set of RSSI capture
+campaigns, and small configs of every paper experiment run through the
+registry (``experiment/...``: the whole ``result.to_dict()`` plus the trace
+digest and event count of every simulation the run built).  Floats are
+stored with ``repr`` precision, so a check is bitwise.
 
 The file changes only when behaviour is *meant* to change (a new random
 number scheme, a model fix).  Regenerate it then, review the diff, and say
@@ -29,10 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Iterator, List
 
 import numpy as np
 
@@ -40,8 +43,11 @@ from repro.context import build_context
 from repro.devices import WifiDevice, ZigbeeDevice
 from repro.devices.base import Radio
 from repro.devices.interferers import Emitter
+from repro.experiments import run_experiment
+from repro.experiments.runner import SCHEMES
 from repro.experiments.scenario import ScenarioTrialConfig, run_scenario_trial
-from repro.faults import FaultPlan
+from repro.experiments.topology import Calibration
+from repro.faults import FaultPlan, get_fault_plan
 from repro.mac.ble import BleConnection
 from repro.mac.frames import Frame, FrameType
 from repro.phy.medium import Technology
@@ -79,6 +85,34 @@ TRAJECTORY_SEEDS = (0, 1, 2)
 
 RSSI_SEEDS = (0, 3, 11)
 RSSI_RATES = (40e3, 10e3)
+
+#: Paper experiments, each at its smallest meaningful config: the Figs.
+#: 10-12 scheme comparison at A and C, under ``lossy-control`` and under
+#: both mobility models; two learning traces (Figs. 7-9); robustness on the
+#: office and on a library scenario; one run of every other experiment.
+EXPERIMENT_SEED = 1
+EXPERIMENTS = (
+    *(("coexistence", {"scheme": scheme, "location": location, "n_bursts": 5})
+      for scheme in SCHEMES for location in ("A", "C")),
+    # Eight bursts: at five, seed 1 happens to run the same with and without
+    # the control faults or the walking person.
+    *(("coexistence", {"scheme": scheme, "n_bursts": 8, "faults": "lossy-control"})
+      for scheme in SCHEMES),
+    *(("coexistence", {"scheme": scheme, "mobility": mobility, "n_bursts": 8})
+      for scheme in ("bicord", "ecc") for mobility in ("person", "device")),
+    ("learning", {"n_packets": 5, "n_bursts": 5}),
+    ("learning", {"n_packets": 10, "location": "C", "n_bursts": 5}),
+    ("robustness", {"rate": 0.25, "n_bursts": 5}),
+    ("robustness", {"rate": 0.25, "scenario": "smart-home",
+                    "scenario_params": {"duration": 1.0}}),
+    ("priority", {"total_duration": 1.0}),
+    ("energy", {"n_packets": 3, "n_bursts": 2}),
+    ("signaling", {"n_salvos": 10}),
+    ("cti", {"n_traces": 4}),
+    ("device-id", {"n_traces": 4}),
+    ("ble", {"duration": 0.5}),
+    ("roaming", {"duration": 0.5}),
+)
 
 
 def plain(value: Any) -> Any:
@@ -306,6 +340,52 @@ def _rssi_unquantized() -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
+# Paper experiments, through the registry
+# ----------------------------------------------------------------------
+@contextmanager
+def _built_contexts() -> Iterator[List[Any]]:
+    """Collect every simulation context built in the scope, in build order.
+
+    Every experiment builds its contexts through :meth:`Calibration.context`,
+    whether it hand-wires devices or compiles a scenario.
+    """
+    built: List[Any] = []
+    original = Calibration.context
+
+    def context(self, *args, **kwargs):
+        built.append(original(self, *args, **kwargs))
+        return built[-1]
+
+    Calibration.context = context
+    try:
+        yield built
+    finally:
+        Calibration.context = original
+
+
+def experiment_case(experiment: str, params: Dict[str, Any]) -> str:
+    """E.g. ``experiment/coexistence(location=A,n_bursts=5,scheme=ecc)/seed1``."""
+    args = ",".join(f"{k}={params[k]}" for k in sorted(params))
+    return f"experiment/{experiment}({args})/seed{EXPERIMENT_SEED}"
+
+
+def _experiment(experiment: str, params: Dict[str, Any]) -> Callable:
+    def run() -> Dict[str, Any]:
+        kwargs = dict(params)
+        if "faults" in kwargs:
+            kwargs["faults"] = get_fault_plan(kwargs["faults"])
+        with _built_contexts() as contexts:
+            result = run_experiment(experiment, seed=EXPERIMENT_SEED, **kwargs)
+        return {
+            "digest": _sha([ctx.trace.counters for ctx in contexts]),
+            "events_processed": sum(ctx.sim.events_processed for ctx in contexts),
+            "summary": result.to_dict(),
+        }
+
+    return run
+
+
+# ----------------------------------------------------------------------
 # The case table
 # ----------------------------------------------------------------------
 def rssi_case(seed: int, rate_hz: float) -> str:
@@ -334,6 +414,8 @@ def _cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
     cases["rssi/fault-plan"] = _rssi_campaign(
         7, 40e3, faults=FaultPlan(control_drop_rate=0.3, csi_spurious_rate=0.05))
     cases["rssi/unquantized"] = _rssi_unquantized
+    for experiment, params in EXPERIMENTS:
+        cases[experiment_case(experiment, params)] = _experiment(experiment, params)
     return cases
 
 
