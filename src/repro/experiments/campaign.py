@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import __version__ as _CODE_VERSION
+from ..jsonl import JsonlJournal
 from ..log import get_logger
 from ..serialization import from_dict, stable_hash, to_dict
 from ..telemetry import build_manifest, merge_snapshots
@@ -221,23 +222,20 @@ def _flat_params(params: Mapping[str, Any]) -> Dict[str, Any]:
 # ======================================================================
 # Journal
 # ======================================================================
-class CampaignJournal:
+class CampaignJournal(JsonlJournal):
     """Append-only JSONL progress record of one campaign directory.
 
     Line 1 is the header (schema, spec fingerprint, code version, trial
     count); every further line is one completed trial.  Appends are
     flushed and fsync'd, so a line either exists completely or not at all
     after a crash; a torn trailing line (the write the kill interrupted)
-    is tolerated and ignored on read.
+    is ignored on read and cut off before the next append.  Its trial is
+    simply not "done": resume re-serves it from the cache.
     """
-
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self._handle = None
 
     # -- writing -------------------------------------------------------
     def write_header(self, spec: CampaignSpec, total: int) -> None:
-        self._append({
+        self.append({
             "kind": "header",
             "schema": CAMPAIGN_SCHEMA,
             "fingerprint": spec.fingerprint(),
@@ -251,7 +249,7 @@ class CampaignJournal:
         self, trial: CampaignTrial, record: TrialRecord,
         metrics: Mapping[str, float],
     ) -> None:
-        self._append({
+        self.append({
             "kind": "trial",
             "index": trial.index,
             "shard": trial.shard,
@@ -263,41 +261,16 @@ class CampaignJournal:
             "metrics": dict(metrics),
         })
 
-    def _append(self, line: Dict[str, Any]) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(line, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
     # -- reading -------------------------------------------------------
     def read(self) -> Tuple[Optional[Dict[str, Any]], Dict[int, Dict[str, Any]]]:
         """(header, {index: trial line}) — duplicates resolved last-wins."""
         header: Optional[Dict[str, Any]] = None
         trials: Dict[int, Dict[str, Any]] = {}
-        if not self.path.exists():
-            return None, {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except ValueError:
-                    # Torn trailing line from a kill mid-append: the trial it
-                    # described is simply not "done"; resume re-serves it
-                    # from the cache.
-                    continue
-                if line.get("kind") == "header":
-                    header = line
-                elif line.get("kind") == "trial":
-                    trials[int(line["index"])] = line
+        for line in self.records():
+            if line.get("kind") == "header":
+                header = line
+            elif line.get("kind") == "trial":
+                trials[int(line["index"])] = line
         return header, trials
 
 

@@ -4,7 +4,8 @@ The campaign journal idea applied to server state: line 1 is a header
 (schema, code version, pid), every further line is one job-state change,
 last-wins per ``job_id``.  Appends flush + fsync, so after ``kill -9`` a
 line either exists completely or not at all; a torn trailing line is
-ignored on read.
+ignored on read and cut off before the next append (see
+:mod:`repro.jsonl`).
 
 Replay semantics on restart: jobs whose last journaled state is
 ``queued`` *or* ``running`` come back as queued — a running job's
@@ -16,12 +17,11 @@ jobs (done/failed/cancelled) are replayed into the record table so
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__ as _CODE_VERSION
+from ..jsonl import JsonlJournal
 from ..log import get_logger
 from .jobs import JobRecord, JobState
 
@@ -31,16 +31,12 @@ SERVER_SCHEMA = 1
 _LOG = get_logger("server.journal")
 
 
-class ServerJournal:
+class ServerJournal(JsonlJournal):
     """Append-only JSONL record of every job the server has accepted."""
-
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self._handle = None
 
     # -- writing -------------------------------------------------------
     def write_header(self) -> None:
-        self._append({
+        self.append({
             "kind": "header",
             "schema": SERVER_SCHEMA,
             "code": _CODE_VERSION,
@@ -49,41 +45,18 @@ class ServerJournal:
 
     def record_job(self, record: JobRecord) -> None:
         """Persist a job's current state (called on every transition)."""
-        self._append({"kind": "job", **record.to_wire()})
-
-    def _append(self, line: Dict[str, Any]) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(line, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.append({"kind": "job", **record.to_wire()})
 
     # -- reading -------------------------------------------------------
     def read(self) -> Tuple[Optional[Dict[str, Any]], Dict[str, Dict[str, Any]]]:
         """(header, {job_id: last job line}) — torn trailing line tolerated."""
         header: Optional[Dict[str, Any]] = None
         jobs: Dict[str, Dict[str, Any]] = {}
-        if not self.path.exists():
-            return None, {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except ValueError:
-                    continue  # torn trailing line from a kill mid-append
-                if line.get("kind") == "header":
-                    header = line
-                elif line.get("kind") == "job" and "job_id" in line:
-                    jobs[str(line["job_id"])] = line
+        for line in self.records():
+            if line.get("kind") == "header":
+                header = line
+            elif line.get("kind") == "job" and "job_id" in line:
+                jobs[str(line["job_id"])] = line
         return header, jobs
 
     def replay(self) -> List[JobRecord]:
