@@ -54,7 +54,7 @@ def emit(results_dir):
 @pytest.fixture(scope="session")
 def signaling_grid():
     """Tables I and II share one sweep: location x power x packet count."""
-    from repro.experiments import run_signaling_trial
+    from repro.experiments import SignalingTrialConfig, run_signaling_trial
 
     cache = {}
 
@@ -68,9 +68,11 @@ def signaling_grid():
                 for n_packets in (3, 4, 5):
                     trials = [
                         run_signaling_trial(
-                            location=location, power_dbm=power,
-                            n_control_packets=n_packets,
-                            n_salvos=n_salvos, seed=seed,
+                            SignalingTrialConfig(
+                                location=location, power_dbm=power,
+                                n_control_packets=n_packets, n_salvos=n_salvos,
+                            ),
+                            seed=seed,
                         )
                         for seed in seeds
                     ]
@@ -85,7 +87,7 @@ def signaling_grid():
 @pytest.fixture(scope="session")
 def learning_grid():
     """Figs. 8 and 9 share one sweep: burst size x step x location."""
-    from repro.experiments import run_learning_trial
+    from repro.experiments import LearningTrialConfig, run_learning_trial
 
     cache = {}
 
@@ -98,8 +100,11 @@ def learning_grid():
                 for location in ("A", "B"):
                     trials = [
                         run_learning_trial(
-                            n_packets=n_packets, step=step, location=location,
-                            n_bursts=scaled(12, minimum=8), seed=seed,
+                            LearningTrialConfig(
+                                n_packets=n_packets, step=step, location=location,
+                                n_bursts=scaled(12, minimum=8),
+                            ),
+                            seed=seed,
                         )
                         for seed in seeds
                     ]

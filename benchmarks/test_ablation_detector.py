@@ -8,7 +8,7 @@ weak salvos.
 """
 
 from repro.core import DetectorConfig
-from repro.experiments import format_table, run_signaling_trial
+from repro.experiments import SignalingTrialConfig, format_table, run_signaling_trial
 
 from .conftest import scaled
 
@@ -26,9 +26,11 @@ def test_ablation_detector(benchmark, emit):
         results = {}
         for label, config in variants:
             trial = run_signaling_trial(
-                location="B", power_dbm=-3.0, n_control_packets=3,
-                n_salvos=scaled(80, minimum=20), seed=4,
-                detector_config=config,
+                SignalingTrialConfig(
+                    location="B", power_dbm=-3.0, n_control_packets=3,
+                    n_salvos=scaled(80, minimum=20), detector_config=config,
+                ),
+                seed=4,
             )
             results[label] = trial.pr
         return results

@@ -22,7 +22,7 @@ from ..devices import ZigbeeDevice
 from ..mac.ble import BleConnection
 from ..phy.propagation import Position
 from ..traffic.generators import ZigbeeBurstSource
-from .compat import effective_seed, fold_legacy_kwargs
+from .compat import effective_seed, trial_config
 from .result import ResultBase
 from .topology import Calibration
 
@@ -60,10 +60,9 @@ def run_ble_coexistence(
     config: Optional[BleTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> BleCoexistenceResult:
     """One ZigBee link + one BLE connection sharing the 2.4 GHz band."""
-    cfg = fold_legacy_kwargs("run_ble_coexistence", BleTrialConfig, config, legacy)
+    cfg = trial_config(config, BleTrialConfig)
     seed = effective_seed(seed)
     afh_enabled = cfg.afh_enabled
     duration = cfg.duration

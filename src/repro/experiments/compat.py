@@ -1,83 +1,36 @@
-"""Legacy-call normalization shared by the experiment runners.
+"""Argument resolution shared by the experiment runners.
 
-Every runner now has the uniform signature::
+Every runner has the uniform signature::
 
     run_x(config: XTrialConfig | None = None,
           seed: int | None = None,
           calibration: Calibration | None = None)
 
-i.e. the scheme/config object, the seed, and the calibration always sit in
-the same positions, which is what lets the registry
+i.e. the config object, the seed, and the calibration always sit in the
+same positions, which is what lets the registry
 (:mod:`repro.experiments.registry`) and the sweep engine
 (:mod:`repro.experiments.sweep`) drive all of them through one contract.
-
-The pre-registry keyword forms (``run_signaling_trial(location="B",
-power_dbm=-3.0)``) keep working: bare field keywords are folded into the
-config dataclass here, with a :class:`DeprecationWarning` steering callers
-toward the config object or :func:`repro.experiments.run_experiment`.
-These shims will be removed in a later release.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
-from typing import Any, Dict, Optional, Type, TypeVar
+from typing import Any, Optional, Type, TypeVar
 
 C = TypeVar("C")
 
 
-def fold_legacy_kwargs(
-    fn_name: str,
-    config_cls: Type[C],
-    config: Any,
-    legacy: Dict[str, Any],
-    positional_str_field: Optional[str] = None,
-) -> C:
-    """Return a ``config_cls`` instance from (config, legacy-kwargs).
-
-    ``positional_str_field`` supports the old convention of passing a bare
-    string first (``run_priority_experiment("ecc", ...)``): the string is
-    folded into that field, with a deprecation warning.
-    """
-    if isinstance(config, str) and positional_str_field is not None:
-        warnings.warn(
-            f"passing {positional_str_field!r} positionally to {fn_name}() is "
-            f"deprecated; pass {config_cls.__name__}({positional_str_field}="
-            f"{config!r}) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        legacy = {positional_str_field: config, **legacy}
-        config = None
+def trial_config(config: Any, config_cls: Type[C]) -> C:
+    """``config`` itself, or a default ``config_cls()`` for ``None``."""
     if config is None:
-        config = config_cls()
-    elif not isinstance(config, config_cls):
+        return config_cls()
+    if not isinstance(config, config_cls):
         raise TypeError(
-            f"{fn_name}() expected {config_cls.__name__} or None as its first "
-            f"argument, got {type(config).__name__}"
+            f"expected {config_cls.__name__} or None as the config, "
+            f"got {type(config).__name__}"
         )
-    if legacy:
-        valid = {field.name for field in dataclasses.fields(config_cls)}
-        unknown = sorted(set(legacy) - valid)
-        if unknown:
-            raise TypeError(
-                f"{fn_name}() got unexpected keyword argument(s) {unknown}; "
-                f"valid {config_cls.__name__} fields: {sorted(valid)}"
-            )
-        warnings.warn(
-            f"{fn_name}({', '.join(sorted(legacy))}=...) keyword form is "
-            f"deprecated; pass {config_cls.__name__}(...) or use "
-            f"run_experiment()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = dataclasses.replace(config, **legacy)
     return config
 
 
-def effective_seed(seed: Optional[int], config: Any = None) -> int:
-    """Resolve the trial seed: explicit argument wins, else config, else 0."""
-    if seed is not None:
-        return int(seed)
-    return int(getattr(config, "seed", 0))
+def effective_seed(seed: Optional[int]) -> int:
+    """Resolve the trial seed: the explicit argument, else 0."""
+    return int(seed) if seed is not None else 0

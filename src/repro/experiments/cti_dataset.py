@@ -32,7 +32,7 @@ from ..phy.propagation import Position
 from ..phy.rssi import RssiTrace
 from ..sim.process import Process
 from ..traffic.generators import WifiPacketSource
-from .compat import effective_seed, fold_legacy_kwargs
+from .compat import effective_seed, trial_config
 from .result import ResultBase
 from .topology import Calibration
 
@@ -175,10 +175,9 @@ def run_cti_accuracy(
     config: Optional[CtiTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> CtiAccuracyResult:
     """Train/test the interferer classifier on a fresh synthetic campaign."""
-    cfg = fold_legacy_kwargs("run_cti_accuracy", CtiTrialConfig, config, legacy)
+    cfg = trial_config(config, CtiTrialConfig)
     seed = effective_seed(seed)
     dataset = build_cti_dataset(n_traces=cfg.n_traces, seed=seed, calibration=calibration)
     rng = np.random.default_rng(seed)
@@ -219,12 +218,9 @@ def run_device_identification(
     config: Optional[DeviceIdTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> DeviceIdResult:
     """Cluster Wi-Fi-transmitter fingerprints and score identification."""
-    cfg = fold_legacy_kwargs(
-        "run_device_identification", DeviceIdTrialConfig, config, legacy
-    )
+    cfg = trial_config(config, DeviceIdTrialConfig)
     seed = effective_seed(seed)
     fingerprints: List[Fingerprint] = []
     truth: List[int] = []

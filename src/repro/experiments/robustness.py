@@ -2,8 +2,9 @@
 
 The paper evaluates BiCord with every mechanism working; this experiment
 asks how gracefully the protocol degrades when they do not.  One trial is a
-standard coexistence run (:func:`~repro.experiments.runner.run_coexistence`)
-with a :class:`~repro.faults.FaultPlan` installed; a *curve* sweeps one
+standard coexistence run (the office of
+:func:`~repro.experiments.runner.coexistence_spec`), or any library scenario,
+compiled with a :class:`~repro.faults.FaultPlan` installed; a *curve* sweeps one
 fault dimension over a grid of rates and reports PRR and latency
 degradation, aggregated over seeds, through the regular sweep engine (so
 robustness grids are cached and parallelized like every other figure).
@@ -15,14 +16,13 @@ that anchors each curve to the paper's numbers.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..faults import DIMENSIONS, FaultPlan
-from .compat import effective_seed, fold_legacy_kwargs
+from .compat import effective_seed, trial_config
 from .result import ResultBase
-from .runner import SCHEMES, CoexistenceConfig, run_coexistence
+from .runner import SCHEMES, CoexistenceConfig, coexistence_spec
 from .topology import Calibration
 
 
@@ -107,64 +107,27 @@ def run_robustness_trial(
     config: Optional[RobustnessTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> RobustnessResult:
-    """Run one coexistence trial under the config's fault plan."""
-    cfg = fold_legacy_kwargs(
-        "run_robustness_trial", RobustnessTrialConfig, config, legacy,
-        positional_str_field="dimension",
-    )
-    seed = effective_seed(seed)
-    if cfg.scenario is not None:
-        return _run_scenario_robustness(cfg, seed, calibration)
-    coex = CoexistenceConfig(
-        scheme=cfg.scheme,
-        location=cfg.location,
-        seed=seed,
-        burst_packets=cfg.burst_packets,
-        payload_bytes=cfg.payload_bytes,
-        burst_interval=cfg.burst_interval,
-        poisson=cfg.poisson,
-        n_bursts=cfg.n_bursts,
-        faults=cfg.plan(),
-    )
-    if calibration is not None:
-        coex = dataclasses.replace(coex, calibration=calibration)
-    result = run_coexistence(coex)
-    counters = {
-        key: value for key, value in result.extra.items() if key.startswith("fault_")
-    }
-    return RobustnessResult(
-        dimension=cfg.dimension,
-        rate=cfg.rate,
-        scheme=cfg.scheme,
-        location=cfg.location,
-        duration=result.duration,
-        prr=result.delivery_ratio,
-        mean_delay=result.mean_delay,
-        p95_delay=result.p95_delay,
-        max_delay=result.max_delay,
-        zigbee_throughput_bps=result.zigbee_throughput_bps,
-        wifi_packets_delivered=result.wifi_packets_delivered,
-        control_packets=result.control_packets,
-        whitespaces_issued=result.whitespaces_issued,
-        bursts_offered=result.zigbee_packets_offered,
-        fault_counters=counters,
-        seed=seed,
-    )
-
-
-def _run_scenario_robustness(
-    cfg: RobustnessTrialConfig, seed: int, calibration: Optional[Calibration]
-) -> RobustnessResult:
-    """Fault-inject an arbitrary library scenario instead of the office."""
+    """Run one coexistence trial (or library scenario) under the fault plan."""
     from ..scenarios import compile_scenario, get_scenario  # lazy: import cycle
 
-    spec = get_scenario(cfg.scenario, **dict(cfg.scenario_params))
-    compiled = compile_scenario(
+    cfg = trial_config(config, RobustnessTrialConfig)
+    seed = effective_seed(seed)
+    if cfg.scenario is not None:
+        spec = get_scenario(cfg.scenario, **dict(cfg.scenario_params))
+    else:
+        spec = coexistence_spec(CoexistenceConfig(
+            scheme=cfg.scheme,
+            location=cfg.location,
+            burst_packets=cfg.burst_packets,
+            payload_bytes=cfg.payload_bytes,
+            burst_interval=cfg.burst_interval,
+            poisson=cfg.poisson,
+            n_bursts=cfg.n_bursts,
+        ))
+    result = compile_scenario(
         spec, seed=seed, calibration=calibration, faults=cfg.plan()
-    )
-    result = compiled.run()
+    ).run()
     counters = {
         key: value for key, value in result.extra.items() if key.startswith("fault_")
     }
@@ -179,9 +142,7 @@ def _run_scenario_robustness(
         p95_delay=result.p95_delay,
         max_delay=result.max_delay,
         zigbee_throughput_bps=result.zigbee_throughput_bps,
-        wifi_packets_delivered=sum(
-            link.delivered for link in result.wifi.values()
-        ),
+        wifi_packets_delivered=result.wifi_packets_delivered,
         control_packets=result.control_packets,
         whitespaces_issued=result.whitespaces_issued,
         bursts_offered=result.packets_offered,

@@ -1,33 +1,30 @@
 """Experiment runners: one function per evaluation scenario of the paper.
 
-Each runner assembles the Fig. 6 office from :mod:`.topology`, wires the
-scheme under test (BiCord or a baseline), drives the paper's workload, and
-returns structured results.  Benchmarks and examples call these functions;
-they never poke at devices directly.
+Each runner builds the Fig. 6 office (:mod:`.topology`) with the scheme
+under test (BiCord or a baseline), drives the paper's workload, and returns
+structured results.  Benchmarks and examples call these functions; they
+never poke at devices directly.
 
 All runners share the uniform signature ``run_x(config, seed, calibration)``
 so the experiment registry (:mod:`.registry`) and the sweep engine
-(:mod:`.sweep`) can drive any of them interchangeably.  The old bare-keyword
-call forms still work through deprecation shims (see :mod:`.compat`).
+(:mod:`.sweep`) can drive any of them interchangeably.
+
+Coexistence and learning runs describe the office as a
+:class:`~repro.scenarios.ScenarioSpec` and run it through
+:func:`~repro.scenarios.compile_scenario`, the one wiring path every
+library scenario uses; the priority, energy and signaling runs still wire
+the office by hand.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..baselines import (
-    CsmaNode,
-    EccCoordinator,
-    EccNode,
-    PredictiveNode,
-    SlowCtcCoordinator,
-    SlowCtcNode,
-)
+from ..baselines import EccCoordinator, EccNode
 from ..core import (
     BicordConfig,
     BicordCoordinator,
@@ -36,16 +33,16 @@ from ..core import (
     ZigbeeSignalDetector,
 )
 from ..faults import FaultPlan
-from ..mac.frames import zigbee_control_frame
+from ..mac.frames import zigbee_ack_frame, zigbee_control_frame, zigbee_data_frame
 from ..sim.process import Process
 from ..traffic.generators import PriorityWifiSource, WifiPacketSource, ZigbeeBurstSource
-from .compat import effective_seed, fold_legacy_kwargs
+from .compat import effective_seed, trial_config
 from .metrics import AirtimeProbe, CoexistenceResult, PrecisionRecall
 from .result import ResultBase
 from .topology import (
+    LOCATIONS,
+    ZIGBEE_RECEIVER_OFFSET,
     Calibration,
-    LOCATION_POWERS_DBM,
-    Office,
     build_office,
     location_powermap,
 )
@@ -91,7 +88,6 @@ def run_signaling_trial(
     config: Optional[SignalingTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> SignalingTrialResult:
     """Measure signaling precision/recall at one (location, power, count).
 
@@ -101,10 +97,7 @@ def run_signaling_trial(
     white spaces are granted (we only measure detection quality, as in
     Sec. VIII-B).
     """
-    cfg = fold_legacy_kwargs(
-        "run_signaling_trial", SignalingTrialConfig, config, legacy,
-        positional_str_field="location",
-    )
+    cfg = trial_config(config, SignalingTrialConfig)
     seed = effective_seed(seed)
     office = build_office(seed=seed, location=cfg.location, calibration=calibration)
     ctx = office.ctx
@@ -214,39 +207,61 @@ class CoexistenceConfig:
             raise ValueError(f"unknown mobility {self.mobility!r}")
 
 
-def _attach_person_mobility(office: Office) -> None:
-    """A walking person perturbs the Wi-Fi receiver's CSI (Sec. VIII-F)."""
-    rng = office.ctx.streams.stream("mobility/person")
-
-    def deviation(_now: float) -> float:
-        if rng.random() < 0.012:
-            return float(rng.uniform(0.3, 0.6))
-        return 0.0
-
-    office.wifi_receiver.csi.environment_deviation = deviation
+#: The office's ZigBee link.  A burst source draws from the stream
+#: ``traffic/<link name>``, so the name is part of what a seed reproduces.
+ZIGBEE_LINK = "zigbee-source"
 
 
-def _attach_device_mobility(office: Office) -> None:
-    """The ZigBee sender wanders within 1 m of its base (Sec. VIII-F)."""
-    base = office.zigbee_sender.position
-    rng = office.ctx.streams.stream("mobility/device")
-    radio = office.zigbee_sender.radio
+def coexistence_spec(config: CoexistenceConfig):
+    """The Fig. 6 office running ``config``'s workload, as a scenario spec."""
+    from ..scenarios import (  # lazy: the scenario layer imports this module
+        BurstTrafficSpec,
+        CoordinatorSpec,
+        MobilitySpec,
+        ScenarioSpec,
+        ZigbeeLinkSpec,
+    )
 
-    def wander():
-        while True:
-            angle = float(rng.uniform(0.0, 2.0 * math.pi))
-            radius = float(rng.uniform(0.0, 1.0))
-            radio.move_to(base.moved(radius * math.cos(angle), radius * math.sin(angle)))
-            yield 0.1
-
-    Process(office.ctx.sim, wander(), name="device-mobility")
+    sender = LOCATIONS[config.location]
+    receiver = sender.moved(*ZIGBEE_RECEIVER_OFFSET)
+    return ScenarioSpec(
+        name="coexistence",
+        duration=config.n_bursts * config.burst_interval,
+        grace=config.grace,
+        backend="office",
+        location=config.location,
+        zigbee=(
+            ZigbeeLinkSpec(
+                name=ZIGBEE_LINK,
+                sender="ZS",
+                receiver="ZR",
+                sender_pos=(sender.x, sender.y),
+                receiver_pos=(receiver.x, receiver.y),
+                signaling_power_dbm=config.signaling_power_dbm,
+                traffic=BurstTrafficSpec(
+                    n_packets=config.burst_packets,
+                    payload_bytes=config.payload_bytes,
+                    interval_mean=config.burst_interval,
+                    poisson=config.poisson,
+                    max_bursts=config.n_bursts,
+                ),
+            ),
+        ),
+        coordinator=CoordinatorSpec(
+            scheme=config.scheme,
+            ecc_whitespace=config.ecc_whitespace,
+            ecc_period=config.ecc_period,
+            bicord=config.bicord_config,
+        ),
+        mobility=MobilitySpec(kind=config.mobility),
+        calibration=config.calibration,
+    )
 
 
 def run_coexistence(
     config: Optional[CoexistenceConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> CoexistenceResult:
     """Run one coexistence scenario and report the paper's metrics.
 
@@ -254,7 +269,9 @@ def run_coexistence(
     ``seed``/``calibration`` fields (the registry always passes them
     explicitly so every experiment shares one seeding convention).
     """
-    config = fold_legacy_kwargs("run_coexistence", CoexistenceConfig, config, legacy)
+    from ..scenarios import compile_scenario  # lazy: see coexistence_spec
+
+    config = trial_config(config, CoexistenceConfig)
     overrides = {}
     if seed is not None:
         overrides["seed"] = int(seed)
@@ -262,115 +279,29 @@ def run_coexistence(
         overrides["calibration"] = calibration
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    office = build_office(
-        seed=config.seed, location=config.location, calibration=config.calibration,
-        faults=config.faults,
+    compiled = compile_scenario(
+        coexistence_spec(config), seed=config.seed, faults=config.faults
     )
-    ctx = office.ctx
-    registry = ctx.telemetry
-    cal = office.calibration
-    WifiPacketSource(
-        ctx, office.wifi_sender.mac, "F",
-        payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval,
-    )
-    if config.mobility == "person":
-        _attach_person_mobility(office)
-    elif config.mobility == "device":
-        _attach_device_mobility(office)
-
-    coordinator = None
-    power = (
-        config.signaling_power_dbm
-        if config.signaling_power_dbm is not None
-        else LOCATION_POWERS_DBM[config.location]
-    )
-    if config.scheme == "bicord":
-        coordinator = BicordCoordinator(office.wifi_receiver, config=config.bicord_config)
-        node = BicordNode(
-            office.zigbee_sender, "ZR", config=config.bicord_config,
-            powermap=location_powermap(config.location, default=power),
-        )
-    elif config.scheme == "ecc":
-        coordinator = EccCoordinator(
-            office.wifi_receiver,
-            whitespace=config.ecc_whitespace,
-            period=config.ecc_period,
-        )
-        node = EccNode(office.zigbee_sender, "ZR")
-        coordinator.register(node)
-    elif config.scheme == "csma":
-        node = CsmaNode(office.zigbee_sender, "ZR")
-    elif config.scheme == "slow-ctc":
-        coordinator = SlowCtcCoordinator(office.wifi_receiver, config=config.bicord_config)
-        node = SlowCtcNode(
-            office.zigbee_sender, "ZR", coordinator, config=config.bicord_config
-        )
-    else:  # predictive
-        node = PredictiveNode(office.zigbee_sender, "ZR")
-
-    source = ZigbeeBurstSource(
-        ctx, node.offer_burst,
-        n_packets=config.burst_packets, payload_bytes=config.payload_bytes,
-        interval_mean=config.burst_interval, poisson=config.poisson,
-        max_bursts=config.n_bursts,
-    )
-    probe = AirtimeProbe(
-        wifi_radios=[office.wifi_sender.radio, office.wifi_receiver.radio],
-        zigbee_radios=[office.zigbee_sender.radio, office.zigbee_receiver.radio],
-    )
-    probe.start(0.0)
-    horizon = config.n_bursts * config.burst_interval
-    with registry.span("coexist.sim"):
-        ctx.sim.run(until=horizon)
-        # Grace period: let in-flight packets finish (delays count, airtime too).
-        deadline = horizon + config.grace
-        while node.outstanding_packets and ctx.sim.now < deadline:
-            ctx.sim.run(until=min(ctx.sim.now + 50e-3, deadline))
-    duration = ctx.sim.now
-    snapshot = probe.snapshot(duration)
-
-    result = CoexistenceResult(
+    run = compiled.run()
+    link = run.links[ZIGBEE_LINK]
+    return CoexistenceResult(
         scheme=config.scheme,
         location=config.location,
-        duration=duration,
-        utilization=snapshot,
-        zigbee_delays=list(node.packet_delays),
-        zigbee_packets_offered=source.bursts_generated * config.burst_packets,
-        zigbee_packets_delivered=node.packets_delivered,
-        zigbee_packets_dropped=getattr(node, "packets_dropped", 0),
-        zigbee_payload_bytes=node.delivered_payload_bytes,
-        burst_latencies=list(node.burst_latencies),
-        control_packets=getattr(node, "control_packets_sent", 0),
-        wifi_packets_delivered=office.wifi_sender.mac.data_delivered,
+        duration=run.duration,
+        utilization=run.utilization,
+        zigbee_delays=link.delays,
+        zigbee_packets_offered=link.offered,
+        zigbee_packets_delivered=link.delivered,
+        zigbee_packets_dropped=link.dropped,
+        zigbee_payload_bytes=link.payload_bytes,
+        burst_latencies=list(compiled.zigbee_links[ZIGBEE_LINK].node.burst_latencies),
+        control_packets=link.control_packets,
+        whitespace_airtime=run.whitespace_airtime,
+        whitespaces_issued=run.whitespaces_issued,
+        wifi_packets_delivered=run.wifi_packets_delivered,
+        extra=run.extra,
         seed=config.seed,
     )
-    if coordinator is not None:
-        result.whitespace_airtime = coordinator.whitespace_airtime
-        result.whitespaces_issued = getattr(
-            coordinator, "grants_issued", getattr(coordinator, "whitespaces_issued", 0)
-        )
-        if hasattr(coordinator, "stop"):
-            coordinator.stop()
-    if hasattr(node, "stop"):
-        node.stop()
-    if ctx.faults is not None:
-        result.extra.update(ctx.faults.counters())
-        registry.record_faults(ctx.faults)
-    if registry.enabled:
-        registry.record_sim(ctx.sim)
-        registry.counter("coexist.zigbee_offered").inc(result.zigbee_packets_offered)
-        registry.counter("coexist.zigbee_delivered").inc(result.zigbee_packets_delivered)
-        registry.counter("coexist.zigbee_dropped").inc(result.zigbee_packets_dropped)
-        registry.counter("coexist.control_packets").inc(result.control_packets)
-        registry.counter("coexist.whitespaces_issued").inc(result.whitespaces_issued)
-        # Granted vs used white-space time: the allocator's over-provision
-        # (Fig. 9) — "used" is the ZigBee airtime that actually ran inside.
-        registry.gauge("coexist.whitespace_granted_s").set_max(result.whitespace_airtime)
-        registry.gauge("coexist.zigbee_airtime_s").set_max(snapshot.zigbee_airtime)
-        registry.gauge("coexist.channel_utilization").set_max(
-            snapshot.channel_utilization
-        )
-    return result
 
 
 # ======================================================================
@@ -413,36 +344,32 @@ def run_learning_trial(
     config: Optional[LearningTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> LearningTrialResult:
     """Observe the white-space learning process for one traffic pattern."""
-    cfg = fold_legacy_kwargs("run_learning_trial", LearningTrialConfig, config, legacy)
+    from ..scenarios import compile_scenario  # lazy: see coexistence_spec
+
+    cfg = trial_config(config, LearningTrialConfig)
     seed = effective_seed(seed)
     bicord_config = BicordConfig()
     bicord_config.allocator.initial_whitespace = cfg.step
-    office = build_office(seed=seed, location=cfg.location, calibration=calibration)
-    ctx = office.ctx
-    cal = office.calibration
-    WifiPacketSource(
-        ctx, office.wifi_sender.mac, "F",
-        payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval,
-    )
-    coordinator = BicordCoordinator(office.wifi_receiver, config=bicord_config)
-    node = BicordNode(
-        office.zigbee_sender, "ZR", config=bicord_config,
-        powermap=location_powermap(cfg.location),
-    )
-    ZigbeeBurstSource(
-        ctx, node.offer_burst, n_packets=cfg.n_packets,
+    spec = coexistence_spec(CoexistenceConfig(
+        location=cfg.location,
+        burst_packets=cfg.n_packets,
         payload_bytes=cfg.payload_bytes,
-        interval_mean=cfg.burst_interval, poisson=False, max_bursts=cfg.n_bursts,
+        burst_interval=cfg.burst_interval,
+        poisson=False,
+        n_bursts=cfg.n_bursts,
+        bicord_config=bicord_config,
+        grace=0.0,
+    ))
+    spec = dataclasses.replace(
+        spec, duration=cfg.n_bursts * cfg.burst_interval + 1.0
     )
-    ctx.sim.run(until=cfg.n_bursts * cfg.burst_interval + 1.0)
-    coordinator.stop()
+    compiled = compile_scenario(spec, seed=seed, calibration=calibration)
+    compiled.run()
+    allocator = compiled.coordinator.allocator
     # Data airtime one burst needs (for over-provision accounting, Fig. 9):
     # packet exchange = frame + ACK + 2 turnarounds + pacing gap.
-    from ..mac.frames import zigbee_ack_frame, zigbee_data_frame
-
     exchange = (
         zigbee_data_frame("ZS", "ZR", cfg.payload_bytes).duration()
         + zigbee_ack_frame("ZR", "ZS", 0).duration()
@@ -453,10 +380,10 @@ def run_learning_trial(
         n_packets=cfg.n_packets,
         step=cfg.step,
         location=cfg.location,
-        iterations=coordinator.allocator.learning_iterations,
-        converged=coordinator.allocator.converged,
-        final_whitespace=coordinator.allocator.current_whitespace,
-        trajectory=coordinator.allocator.whitespace_trajectory(),
+        iterations=allocator.learning_iterations,
+        converged=allocator.converged,
+        final_whitespace=allocator.current_whitespace,
+        trajectory=allocator.whitespace_trajectory(),
         burst_airtime=cfg.n_packets * exchange,
         seed=seed,
     )
@@ -492,17 +419,13 @@ def run_priority_experiment(
     config: Optional[PriorityTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> PriorityResult:
     """Sec. VIII-G: Wi-Fi mixes video (high) and file (low) traffic.
 
     The coordinator ignores ZigBee requests while the Wi-Fi device is in a
     high-priority phase.
     """
-    cfg = fold_legacy_kwargs(
-        "run_priority_experiment", PriorityTrialConfig, config, legacy,
-        positional_str_field="scheme",
-    )
+    cfg = trial_config(config, PriorityTrialConfig)
     seed = effective_seed(seed)
     office = build_office(seed=seed, location=cfg.location, calibration=calibration)
     ctx = office.ctx
@@ -582,10 +505,9 @@ def run_energy_trial(
     config: Optional[EnergyTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> EnergyResult:
     """Energy of delivering bursts under Wi-Fi (BiCord) vs a clear channel."""
-    cfg = fold_legacy_kwargs("run_energy_trial", EnergyTrialConfig, config, legacy)
+    cfg = trial_config(config, EnergyTrialConfig)
     seed = effective_seed(seed)
 
     def one(with_wifi: bool) -> Tuple[float, int]:

@@ -22,21 +22,11 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from ..serialization import from_dict
 from .compat import effective_seed
-from .metrics import UtilizationSnapshot
+from .metrics import UtilizationSnapshot, _mean, _percentile
 from .result import ResultBase
 from .topology import Calibration
-
-
-def _mean(values) -> float:
-    return float(np.mean(values)) if len(values) else 0.0
-
-
-def _percentile(values, q: float) -> float:
-    return float(np.percentile(np.asarray(values), q)) if len(values) else 0.0
 
 
 @dataclass
@@ -161,6 +151,10 @@ class ScenarioResult(ResultBase):
     @property
     def control_packets(self) -> int:
         return sum(link.control_packets for link in self.links.values())
+
+    @property
+    def wifi_packets_delivered(self) -> int:
+        return sum(link.delivered for link in self.wifi.values())
 
     @property
     def wifi_prr(self) -> float:

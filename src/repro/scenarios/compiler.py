@@ -247,8 +247,17 @@ class CompiledScenario:
             registry.counter("scenario.links").inc(len(links))
             registry.counter("scenario.zigbee_offered").inc(result.packets_offered)
             registry.counter("scenario.zigbee_delivered").inc(result.packets_delivered)
+            registry.counter("scenario.zigbee_dropped").inc(
+                sum(link.dropped for link in links.values())
+            )
             registry.counter("scenario.control_packets").inc(result.control_packets)
             registry.counter("scenario.whitespaces_issued").inc(result.whitespaces_issued)
+            # Granted vs used white-space time: the allocator's over-provision
+            # (Fig. 9) — "used" is the ZigBee airtime that actually ran inside.
+            registry.gauge("scenario.whitespace_granted_s").set_max(
+                result.whitespace_airtime
+            )
+            registry.gauge("scenario.zigbee_airtime_s").set_max(snapshot.zigbee_airtime)
             registry.gauge("scenario.channel_utilization").set_max(
                 snapshot.channel_utilization
             )

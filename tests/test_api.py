@@ -46,17 +46,12 @@ def test_scheme_less_results_fall_back_to_neutral_identity():
     assert result.seed == 2  # real field, set by the runner
 
 
-def test_dict_access_shim_warns_and_proxies():
+def test_results_are_not_mappings():
     result = api.run("learning", n_bursts=3, seed=0)
-    with pytest.warns(DeprecationWarning, match="dict-style"):
-        assert result["iterations"] == result.iterations
-    with pytest.warns(DeprecationWarning):
-        assert result.get("missing", 42) == 42
-    with pytest.warns(DeprecationWarning):
-        assert "iterations" in result.keys()
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(KeyError):
-            result["not_a_field"]
+    with pytest.raises(TypeError):
+        result["iterations"]
+    assert not hasattr(result, "keys")
+    assert result.metrics()["iterations"] == result.iterations
 
 
 def test_registry_rejects_contract_violations():

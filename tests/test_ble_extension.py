@@ -3,7 +3,7 @@
 import pytest
 
 from repro.devices import ZigbeeDevice
-from repro.experiments.ble_extension import run_ble_coexistence
+from repro.experiments.ble_extension import BleTrialConfig, run_ble_coexistence
 from repro.mac.ble import DATA_CHANNELS, MIN_USED_CHANNELS, BleConnection
 from repro.mac.frames import zigbee_data_frame
 from repro.phy.propagation import Position
@@ -108,8 +108,8 @@ def test_double_start_rejected():
 
 
 def test_extension_experiment_afh_improves_ble():
-    off = run_ble_coexistence(afh_enabled=False, duration=8.0, seed=1)
-    on = run_ble_coexistence(afh_enabled=True, duration=8.0, seed=1)
+    off = run_ble_coexistence(BleTrialConfig(afh_enabled=False, duration=8.0), seed=1)
+    on = run_ble_coexistence(BleTrialConfig(afh_enabled=True, duration=8.0), seed=1)
     assert on.ble_late_success_rate >= off.ble_late_success_rate
     assert on.excluded_channels  # something was excluded
     assert on.zigbee_delivery_ratio > 0.8

@@ -7,6 +7,8 @@ different sample paths.
 
 from repro.experiments import (
     CoexistenceConfig,
+    LearningTrialConfig,
+    SignalingTrialConfig,
     run_coexistence,
     run_learning_trial,
     run_signaling_trial,
@@ -34,15 +36,17 @@ def test_coexistence_differs_across_seeds():
 
 
 def test_signaling_trial_deterministic():
-    a = run_signaling_trial(location="C", power_dbm=-1.0, n_salvos=20, seed=3)
-    b = run_signaling_trial(location="C", power_dbm=-1.0, n_salvos=20, seed=3)
+    cfg = SignalingTrialConfig(location="C", power_dbm=-1.0, n_salvos=20)
+    a = run_signaling_trial(cfg, seed=3)
+    b = run_signaling_trial(cfg, seed=3)
     assert a.pr == b.pr
     assert a.wifi_prr == b.wifi_prr
 
 
 def test_learning_trial_deterministic():
-    a = run_learning_trial(n_packets=10, n_bursts=8, seed=5)
-    b = run_learning_trial(n_packets=10, n_bursts=8, seed=5)
+    cfg = LearningTrialConfig(n_packets=10, n_bursts=8)
+    a = run_learning_trial(cfg, seed=5)
+    b = run_learning_trial(cfg, seed=5)
     assert a.trajectory == b.trajectory
     assert a.final_whitespace == b.final_whitespace
 

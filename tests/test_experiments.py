@@ -6,8 +6,12 @@ import pytest
 from repro.experiments import (
     Calibration,
     CoexistenceConfig,
+    EnergyTrialConfig,
     LOCATIONS,
     LOCATION_POWERS_DBM,
+    LearningTrialConfig,
+    PriorityTrialConfig,
+    SignalingTrialConfig,
     aggregate,
     build_office,
     format_series,
@@ -110,8 +114,11 @@ def test_aggregate_means_summaries():
 # Runners (small workloads; shape checks)
 # ----------------------------------------------------------------------
 def test_signaling_trial_returns_sane_pr():
-    result = run_signaling_trial(location="A", power_dbm=0.0, n_control_packets=4,
-                                 n_salvos=15, seed=1)
+    result = run_signaling_trial(
+        SignalingTrialConfig(location="A", power_dbm=0.0, n_control_packets=4,
+                             n_salvos=15),
+        seed=1,
+    )
     assert 0.8 <= result.pr.recall <= 1.0
     assert 0.8 <= result.pr.precision <= 1.0
     assert result.wifi_prr > 0.9
@@ -151,7 +158,9 @@ def test_mobility_modes_run():
 
 
 def test_learning_trial_converges_for_ten_packets():
-    result = run_learning_trial(n_packets=10, step=30e-3, n_bursts=12, seed=5)
+    result = run_learning_trial(
+        LearningTrialConfig(n_packets=10, step=30e-3, n_bursts=12), seed=5
+    )
     assert result.converged
     assert 0.05 < result.final_whitespace < 0.15
     assert result.iterations <= 8  # Fig. 8: average always below 8
@@ -159,14 +168,20 @@ def test_learning_trial_converges_for_ten_packets():
 
 
 def test_learning_trial_bigger_bursts_need_longer_whitespace():
-    small = run_learning_trial(n_packets=5, step=30e-3, n_bursts=10, seed=6)
-    large = run_learning_trial(n_packets=15, step=30e-3, n_bursts=10, seed=6)
+    small = run_learning_trial(
+        LearningTrialConfig(n_packets=5, step=30e-3, n_bursts=10), seed=6
+    )
+    large = run_learning_trial(
+        LearningTrialConfig(n_packets=15, step=30e-3, n_bursts=10), seed=6
+    )
     assert large.final_whitespace > small.final_whitespace
 
 
 def test_priority_experiment_high_priority_protected():
-    result = run_priority_experiment("bicord", high_proportion=0.4,
-                                     total_duration=3.0, seed=7)
+    result = run_priority_experiment(
+        PriorityTrialConfig(scheme="bicord", high_proportion=0.4, total_duration=3.0),
+        seed=7,
+    )
     # High-priority Wi-Fi traffic must not suffer more than low-priority.
     assert result.high_priority_wifi_delay <= result.low_priority_wifi_delay * 1.2
     assert result.zigbee_utilization > 0.0
@@ -174,12 +189,14 @@ def test_priority_experiment_high_priority_protected():
 
 def test_priority_experiment_rejects_unknown_scheme():
     with pytest.raises(ValueError):
-        run_priority_experiment("csma", 0.3, total_duration=1.0)
+        run_priority_experiment(
+            PriorityTrialConfig(scheme="csma", high_proportion=0.3, total_duration=1.0)
+        )
 
 
 def test_energy_trial_overhead_band():
     """Sec. VII-B: BiCord costs extra energy, but within a small multiple."""
-    result = run_energy_trial(n_bursts=4, seed=8)
+    result = run_energy_trial(EnergyTrialConfig(n_bursts=4), seed=8)
     assert result.bicord_mj > result.clear_channel_mj
     assert 0.0 < result.overhead_fraction < 0.8
     assert result.control_packets > 0

@@ -1,13 +1,11 @@
 """Declarative scenario subsystem: spec, loader, compiler, generators, registry."""
 
 import dataclasses
-import warnings
 
 import pytest
 
 from repro.experiments import run_experiment
 from repro.experiments.sweep import SweepEngine, trial_key
-from repro.experiments.topology import build_office
 from repro.scenarios import (
     BurstTrafficSpec,
     ScenarioResult,
@@ -248,16 +246,3 @@ def test_manifest_records_scenario():
     )
     assert manifest.scenario == "office"
     assert manifest.scenario_fingerprint == "abc123"
-
-
-# ----------------------------------------------------------------------
-# Deprecation: hand-wiring build_office from examples scripts
-# ----------------------------------------------------------------------
-def test_build_office_warns_only_for_example_callers():
-    code = compile("import repro.experiments.topology as t\n"
-                   "office = t.build_office(seed=0)\n", "examples/fake.py", "exec")
-    with pytest.warns(DeprecationWarning, match="repro.scenarios"):
-        exec(code, {"__name__": "examples.fake", "__file__": "examples/fake.py"})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        build_office(seed=0)  # non-example caller stays silent

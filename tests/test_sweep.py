@@ -67,6 +67,26 @@ def test_trial_key_sensitive_to_config_seed_and_code_version():
                      code_version="other") != base
 
 
+@pytest.mark.parametrize("experiment,params,seed,key", [
+    ("coexistence", {"scheme": "bicord", "location": "A", "n_bursts": 5}, 0,
+     "f33a768886d332b03566af814a11b6cbb1ef4b5b308f11502c0e4472f3010054"),
+    ("coexistence", {"scheme": "ecc", "location": "C", "mobility": "device"}, 3,
+     "b6443cc0e9ce75e8e554be117e896055a23b0071f11fcbe81f298409d1d7f10b"),
+    ("coexistence", {"scheme": "slow-ctc", "faults": {"control_drop_rate": 0.3}}, 1,
+     "9a8b49d15fde5bba579296406905ebb8177b13c7c3e4ef68fc5926db16f8455c"),
+    ("robustness", {"dimension": "control", "rate": 0.25}, 2,
+     "eff1ba8c9f8ee3f339638951dc62674e03874a298aeae25b399e8ef475f893d3"),
+    ("robustness", {"scenario": "smart-home", "rate": 0.1}, 0,
+     "936d490f8b3768729db654ca68abcaca4a62d7716e6da11d262426ec8b8bcf33"),
+    ("learning", {"n_packets": 10, "step": 0.04}, 4,
+     "f33883261477b343f0a8af4c4d31700b3c13cff5e1558cea80aa170afb5ba430"),
+])
+def test_trial_keys_are_pinned(experiment, params, seed, key):
+    # Cached trials stay valid only while their keys do: a change to a
+    # config's fields or defaults must show up here, not as silent misses.
+    assert trial_key(experiment, params, seed, code_version="pinned") == key
+
+
 def test_default_cache_dir_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("BICORD_SWEEP_CACHE", str(tmp_path / "alt"))
     assert default_cache_dir() == tmp_path / "alt"

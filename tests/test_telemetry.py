@@ -155,7 +155,10 @@ def test_coexistence_populates_registry():
     assert snap["counters"]["detector.samples_seen"] > 0
     assert snap["gauges"]["sim.queue_hwm"] > 0
     assert snap["histograms"]["bicord.grant_ms"]["count"] > 0
-    assert "coexist.sim" in snap["spans"]
+    assert "scenario.sim" in snap["spans"]
+    assert "scenario.zigbee_dropped" in snap["counters"]
+    assert snap["gauges"]["scenario.whitespace_granted_s"] > 0
+    assert snap["gauges"]["scenario.zigbee_airtime_s"] > 0
 
 
 def test_telemetry_off_results_identical():
