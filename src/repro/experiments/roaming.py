@@ -20,8 +20,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..serialization import from_dict
-from .compat import effective_seed
+from .compat import effective_seed, trial_config
 from .result import ResultBase
 from .runner import SCHEMES
 from .topology import Calibration
@@ -134,12 +133,7 @@ def run_roaming_trial(
     """Compile and run one roaming scenario (uniform registry contract)."""
     from ..scenarios import compile_scenario  # lazy: breaks the import cycle
 
-    if config is None:
-        cfg = RoamingTrialConfig()
-    elif isinstance(config, dict):
-        cfg = from_dict(RoamingTrialConfig, config)
-    else:
-        cfg = config
+    cfg = trial_config(config, RoamingTrialConfig)
     seed = effective_seed(seed)
     compiled = compile_scenario(cfg.resolve_spec(), seed=seed, calibration=calibration)
     result = compiled.run(max_events=cfg.max_events)

@@ -22,8 +22,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..serialization import from_dict
-from .compat import effective_seed
+from .compat import effective_seed, trial_config
 from .metrics import UtilizationSnapshot, _mean, _percentile
 from .result import ResultBase
 from .topology import Calibration
@@ -228,12 +227,7 @@ def run_scenario_trial(
     """Compile and run one scenario (uniform registry contract)."""
     from ..scenarios import compile_scenario  # lazy: breaks the import cycle
 
-    if config is None:
-        cfg = ScenarioTrialConfig()
-    elif isinstance(config, dict):
-        cfg = from_dict(ScenarioTrialConfig, config)
-    else:
-        cfg = config
+    cfg = trial_config(config, ScenarioTrialConfig)
     seed = effective_seed(seed)
     compiled = compile_scenario(cfg.resolve_spec(), seed=seed, calibration=calibration)
     return compiled.run(max_events=cfg.max_events)

@@ -7,6 +7,10 @@ controlled distances.
 
 from __future__ import annotations
 
+import json
+import random
+from pathlib import Path
+
 from repro.context import SimContext, build_context
 from repro.devices import WifiDevice, ZigbeeDevice
 from repro.phy.propagation import FadingModel, PathLossModel, Position
@@ -33,3 +37,21 @@ def zigbee_pair(ctx: SimContext, sender_pos=None, receiver_pos=None, tx_power_db
     )
     receiver = ZigbeeDevice(ctx, "ZR", receiver_pos or Position(4.0, 1.0))
     return sender, receiver
+
+
+def torn_copies(path: Path, n_random: int = 24):
+    """Copies of a JSONL journal cut where a kill could tear an append.
+
+    Cuts fall at seeded random byte offsets, at the empty and the whole
+    file, and on both sides of every newline.  Yields ``(copy, whole)``:
+    the cut copy and the records of the lines the cut left complete.
+    """
+    data = path.read_bytes()
+    rng = random.Random(0)
+    offsets = {0, len(data)} | {rng.randrange(len(data) + 1) for _ in range(n_random)}
+    offsets |= {i + d for i, byte in enumerate(data) if byte == ord("\n") for d in (0, 1)}
+    for offset in sorted(offsets):
+        copy = path.with_name(f"{path.stem}-cut{offset}{path.suffix}")
+        copy.write_bytes(data[:offset])
+        whole = data[: data.rfind(b"\n", 0, offset) + 1]
+        yield copy, [json.loads(line) for line in whole.splitlines()]

@@ -17,6 +17,7 @@ from repro.experiments.campaign import (
     CampaignJournal,
     CampaignRunner,
     CampaignSpec,
+    CampaignTrial,
     plan_campaign,
 )
 from repro.experiments.stats import (
@@ -26,6 +27,9 @@ from repro.experiments.stats import (
     summarize,
     t_critical,
 )
+from repro.experiments.sweep import TrialRecord
+
+from .helpers import torn_copies
 
 FAST = {"n_bursts": (3, 4)}  # learning trials finish in ~0.15 s each
 
@@ -157,18 +161,35 @@ def test_spec_fingerprint_tracks_content():
 # ----------------------------------------------------------------------
 # Journal
 # ----------------------------------------------------------------------
+def _journal_trial(journal, index):
+    params = {"n_bursts": 3}
+    journal.append_trial(
+        CampaignTrial(index=index, shard=0, params=params, seed=0, key=f"k{index}"),
+        TrialRecord(index, "learning", params, 0, f"k{index}", None, 0.25, False),
+        {"iterations": 1.0},
+    )
+
+
 def test_journal_roundtrip_and_torn_line_tolerance(tmp_path):
     spec = fast_spec()
     journal = CampaignJournal(tmp_path / "journal.jsonl")
     journal.write_header(spec, 4)
+    for index in range(3):
+        _journal_trial(journal, index)
     journal.close()
-    # Simulate a kill mid-append: a torn, unterminated trial line.
-    with open(journal.path, "a", encoding="utf-8") as handle:
-        handle.write('{"kind": "trial", "index": 0, "ke')
     header, trials = CampaignJournal(journal.path).read()
     assert header["fingerprint"] == spec.fingerprint()
     assert header["total"] == 4
-    assert trials == {}
+    assert sorted(trials) == [0, 1, 2]
+    # A kill can tear an append at any byte: every line complete before the
+    # cut survives, and the first append after a restart reads back.
+    for path, whole in torn_copies(journal.path):
+        torn = CampaignJournal(path)
+        _journal_trial(torn, 10)
+        torn.close()
+        _, trials = CampaignJournal(path).read()
+        expected = [line["index"] for line in whole if line["kind"] == "trial"]
+        assert sorted(trials) == expected + [10], path.name
 
 
 # ----------------------------------------------------------------------

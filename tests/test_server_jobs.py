@@ -8,6 +8,8 @@ import pytest
 from repro.server import FairPriorityQueue, JobRecord, JobSpec, JobState, QueueFull
 from repro.server.journal import SERVER_SCHEMA, ServerJournal
 
+from .helpers import torn_copies
+
 
 def _record(job_id="j1", client="a", priority=1, trials=1):
     spec = JobSpec(
@@ -208,11 +210,17 @@ class TestServerJournal:
         journal = ServerJournal(tmp_path / "jobs.jsonl")
         journal.write_header()
         journal.record_job(_record("j1"))
+        journal.record_job(_record("j2"))
         journal.close()
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "job", "job_id": "j2", "sta')  # torn
-        restored = ServerJournal(journal.path).replay()
-        assert [r.job_id for r in restored] == ["j1"]
+        # A kill can tear an append at any byte: every line complete before
+        # the cut survives, and the first append after a restart reads back.
+        for path, whole in torn_copies(journal.path):
+            torn = ServerJournal(path)
+            torn.record_job(_record("j3"))
+            torn.close()
+            restored = [r.job_id for r in ServerJournal(path).replay()]
+            expected = [line["job_id"] for line in whole if line["kind"] == "job"]
+            assert restored == expected + ["j3"], path.name
 
     def test_schema_mismatch_starts_fresh(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
