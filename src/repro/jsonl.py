@@ -18,29 +18,19 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterator
 
-_TAIL_CHUNK = 4096
-
 
 def _cut_torn_tail(path: Path) -> None:
-    """Truncate ``path`` after its last newline (no-op if it ends in one)."""
+    """Truncate ``path`` after its last newline (no-op if it ends in one).
+
+    Reads the whole file, as replaying the journal on restart does anyway.
+    """
     try:
-        handle = open(path, "rb+")
+        data = path.read_bytes()
     except FileNotFoundError:
         return
-    with handle:
-        end = handle.seek(0, os.SEEK_END)
-        pos = end
-        while pos > 0:
-            start = max(0, pos - _TAIL_CHUNK)
-            handle.seek(start)
-            newline = handle.read(pos - start).rfind(b"\n")
-            if newline >= 0:
-                keep = start + newline + 1
-                break
-            pos = start
-        else:
-            keep = 0
-        if keep < end:
+    keep = data.rfind(b"\n") + 1
+    if keep < len(data):
+        with open(path, "rb+") as handle:
             handle.truncate(keep)
             os.fsync(handle.fileno())
 
