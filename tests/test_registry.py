@@ -11,6 +11,7 @@ from repro.experiments import (
     EnergyResult,
     LearningTrialConfig,
     LearningTrialResult,
+    PriorityTrialConfig,
     EXPERIMENTS,
     experiment_names,
     get_experiment,
@@ -18,6 +19,7 @@ from repro.experiments import (
     run_experiment,
     run_learning_trial,
     run_priority_experiment,
+    run_signaling_trial,
 )
 from repro.serialization import canonical_dumps
 
@@ -108,8 +110,36 @@ def test_run_experiment_energy_and_ble_types():
 # ----------------------------------------------------------------------
 # Call forms: a runner takes its config object, nothing else
 # ----------------------------------------------------------------------
-def test_unknown_keyword_or_bare_string_raises_type_error():
+def test_legacy_keyword_form_warns_and_matches_new_form():
+    # The field-keyword form is gone: it raises instead of warning, and the
+    # config-object form gives what run_experiment gives for those fields.
     with pytest.raises(TypeError, match="unexpected keyword"):
         run_learning_trial(n_packets=4, n_bursts=4, seed=5)
+    direct = run_learning_trial(LearningTrialConfig(n_packets=4, n_bursts=4), seed=5)
+    fresh = run_experiment("learning", n_packets=4, n_bursts=4, seed=5)
+    assert canonical_dumps(direct) == canonical_dumps(fresh)
+
+
+def test_legacy_positional_scheme_string_warns():
+    # A bare positional string is not a config: it raises, naming the type.
     with pytest.raises(TypeError, match="PriorityTrialConfig"):
         run_priority_experiment("csma")
+    with pytest.raises(ValueError, match="bicord and ecc"):
+        run_priority_experiment(
+            PriorityTrialConfig(scheme="csma", total_duration=1.0)
+        )
+
+
+def test_legacy_unknown_keyword_still_rejected():
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        run_signaling_trial(locaton="A")  # typo: not silently accepted
+
+
+def test_mixing_config_and_legacy_kwargs_overrides_fields():
+    # A runner takes a config and no field keywords; field overrides on top
+    # of a config go through run_experiment.
+    base = LearningTrialConfig(n_packets=9, n_bursts=4)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        run_learning_trial(base, seed=2, n_packets=4)
+    result = run_experiment("learning", config=base, seed=2, n_packets=4)
+    assert result.n_packets == 4
